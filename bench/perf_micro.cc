@@ -66,8 +66,7 @@ BM_SyzlangRoundTrip(benchmark::State& state)
 }
 BENCHMARK(BM_SyzlangRoundTrip);
 
-/// Campaign throughput; arg 0 is the program budget, arg 1 the executor
-/// batch size (1 = legacy per-program kernel resets).
+/// Campaign throughput; arg 0 is the program budget.
 void
 BM_FuzzThroughput(benchmark::State& state)
 {
@@ -79,13 +78,12 @@ BM_FuzzThroughput(benchmark::State& state)
     fuzzer::CampaignOptions options;
     options.seed = 42;
     options.program_budget = static_cast<int>(state.range(0));
-    options.batch_size = static_cast<int>(state.range(1));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_FuzzThroughput)->Args({2000, 1})->Args({2000, 32});
+BENCHMARK(BM_FuzzThroughput)->Arg(2000);
 
 /// End-to-end dispatched-call cost: replays a fixed program set (no
 /// generation or mutation) through Executor::Run, so each item is one
@@ -211,7 +209,7 @@ BM_CoverageHit(benchmark::State& state)
 }
 BENCHMARK(BM_CoverageHit);
 
-/// Between-campaign distillation cost: one pass (dedup + batched replay
+/// Between-campaign distillation cost: one pass (dedup + replay
 /// for signatures + greedy cover + crash minimization) over the merged
 /// corpus of a fixed 4-worker campaign; items = input corpus programs, so
 /// items/sec is distillation throughput per merged-corpus program.
@@ -240,7 +238,7 @@ BM_Distill(benchmark::State& state)
 BENCHMARK(BM_Distill);
 
 /// Differential-oracle cost: the same deterministic corpus replayed
-/// through a pre-booted single-model Executor batch (Arg 0) vs a full
+/// through a pre-booted single-model Executor (Arg 0) vs a full
 /// strict-vs-permissive DiffRunner pass with minimization off (Arg 1).
 /// The ns ratio between the two args is the oracle's overhead factor
 /// per pass: dual execution with per-call trace comparison PLUS booting
@@ -278,7 +276,9 @@ BM_DiffRunnerOverhead(benchmark::State& state)
     fuzzer::Executor executor(kernel.get(), &lib);
     for (auto _ : state) {
       vkernel::Coverage coverage;
-      benchmark::DoNotOptimize(executor.RunBatch(corpus, &coverage).size());
+      for (const fuzzer::Prog& prog : corpus) {
+        benchmark::DoNotOptimize(executor.Run(prog, &coverage));
+      }
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -406,7 +406,10 @@ BM_OrchestratorThroughput(benchmark::State& state)
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 2000);
 }
-BENCHMARK(BM_OrchestratorThroughput)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
+// Real time: the workers run on their own threads, so main-thread CPU
+// time would credit 2/4/8 workers with near-free programs.
+BENCHMARK(BM_OrchestratorThroughput)
+    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void
 BM_FullGenerationPipeline(benchmark::State& state)
@@ -493,13 +496,12 @@ BM_NetStackThroughput(benchmark::State& state)
     fuzzer::CampaignOptions options;
     options.seed = 42;
     options.program_budget = static_cast<int>(state.range(0));
-    options.batch_size = static_cast<int>(state.range(1));
     benchmark::DoNotOptimize(fuzzer::RunCampaign(&kernel, lib, options));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-BENCHMARK(BM_NetStackThroughput)->Args({2000, 1})->Args({2000, 32});
+BENCHMARK(BM_NetStackThroughput)->Arg(2000);
 
 /// Raw state-transition cost: one full TCP lifecycle per item — create
 /// the pair, bind/listen/connect/accept across the loopback, then tear
@@ -514,7 +516,6 @@ BM_NetStateTransition(benchmark::State& state)
   vkernel::Coverage cov;
   const std::vector<uint8_t> addr = {2, 0, 5, 0, 0, 0, 0, 0};
   const vkernel::Buffer baddr = vkernel::Buffer::View(addr);
-  kernel.BeginBatch();
   kernel.BeginProgram();
   for (auto _ : state) {
     vkernel::ExecContext ctx(&cov);
@@ -535,7 +536,6 @@ BM_NetStateTransition(benchmark::State& state)
     vkernel::ExecContext ctx(&cov);
     kernel.EndProgram(ctx);
   }
-  kernel.EndBatch();
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NetStateTransition);

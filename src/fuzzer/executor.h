@@ -2,9 +2,10 @@
 /// Program execution against a virtual-kernel model: dispatches each call
 /// by the opcode its syscall resolved to at Finalize() time, threads
 /// resource results between calls, and collects coverage and crash
-/// outcomes. Argument bytes are passed to the model as zero-copy views;
-/// batches of programs can share one kernel batch window to amortize
-/// per-program reset work. The executor is written against the abstract
+/// outcomes. Argument bytes are passed to the model as zero-copy views.
+/// Every program starts from a fresh kernel state: the model's
+/// BeginProgram() resets the fd table and each module the previous
+/// programs touched. The executor is written against the abstract
 /// vkernel::KernelModel, so the same program can run on any personality.
 
 #ifndef KERNELGPT_FUZZER_EXECUTOR_H_
@@ -63,27 +64,15 @@ class Executor {
   /// and end-of-program fd shape into `trace` (may be null).
   ExecResult Run(const Prog& prog, vkernel::Coverage* total, ExecTrace* trace);
 
-  /// Runs a batch of programs inside one kernel batch window, amortizing
-  /// per-program module resets. Per-program semantics (fresh fd table and
-  /// module state) are preserved, so results are identical to running
-  /// each program through Run() individually.
-  std::vector<ExecResult> RunBatch(util::Span<const Prog> progs,
-                                   vkernel::Coverage* total);
-
-  /// RunBatch variant that additionally records each program's individual
+  /// Runs each program in order through Run() and records its individual
   /// coverage signature in `signatures` (resized to progs.size()). The
   /// distiller replays merged corpora through this to feed its greedy
-  /// covering-subset selection; `total` still accumulates the union and
-  /// each ExecResult::new_blocks is relative to `total` as usual.
+  /// covering-subset selection; `total` (may be null) still accumulates
+  /// the union and each ExecResult::new_blocks is relative to `total` as
+  /// usual.
   std::vector<ExecResult> RunBatch(util::Span<const Prog> progs,
                                    vkernel::Coverage* total,
                                    std::vector<vkernel::Coverage>* signatures);
-
-  /// Opens/closes a kernel batch window around a streaming sequence of
-  /// Run() calls (the campaign loop cannot materialize its programs up
-  /// front because generation depends on prior results).
-  void BeginBatch() { kernel_->BeginBatch(); }
-  void EndBatch() { kernel_->EndBatch(); }
 
   /// The model this executor drives (for reports that name it).
   vkernel::KernelModel* model() const { return kernel_; }

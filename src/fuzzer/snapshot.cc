@@ -1,7 +1,5 @@
 #include "fuzzer/snapshot.h"
 
-#include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -14,6 +12,10 @@
 
 namespace kernelgpt::fuzzer {
 namespace {
+
+using util::ParseF64;
+using util::ParseI64;
+using util::ParseU64;
 
 // -- Line-oriented parsing helpers -------------------------------------------
 // Every helper returns false on malformed input and leaves a message in
@@ -61,52 +63,6 @@ HexNibble(char c)
   if (c >= 'a' && c <= 'f') return c - 'a' + 10;
   if (c >= 'A' && c <= 'F') return c - 'A' + 10;
   return -1;
-}
-
-bool
-ParseU64(std::string_view tok, int base, uint64_t* out)
-{
-  // strtoull silently wraps negative input and skips leading whitespace;
-  // both would let a corrupt field parse "successfully", so an unsigned
-  // field must start with a digit.
-  if (tok.empty() || HexNibble(tok[0]) < 0) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  uint64_t v = std::strtoull(buf.c_str(), &end, base);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool
-ParseI64(std::string_view tok, int64_t* out)
-{
-  if (tok.empty()) return false;
-  // Signed fields allow exactly one leading '-'; no whitespace or '+'
-  // (strtoll would accept both).
-  const std::string_view digits = tok[0] == '-' ? tok.substr(1) : tok;
-  if (digits.empty() || HexNibble(digits[0]) < 0) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  int64_t v = std::strtoll(buf.c_str(), &end, 10);
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool
-ParseF64(std::string_view tok, double* out)
-{
-  if (tok.empty()) return false;
-  std::string buf(tok);
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(buf.c_str(), &end);  // Accepts the %a hexfloats.
-  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
-  *out = v;
-  return true;
 }
 
 /// Reads one line of the form "<keyword> <rest>" (or bare "<keyword>")

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <climits>
 #include <cstdlib>
 
 #include "util/rng.h"
@@ -28,19 +29,33 @@ constexpr ErrnoEntry kErrnoTable[] = {
     {"EISDIR", EISDIR},   {"ENOTDIR", ENOTDIR},
 };
 
-int
-ErrnoFromName(const std::string& name, bool* ok)
+/// Parses a base-10 int in [min, INT_MAX].
+bool
+ParseInt(std::string_view value, int min, int* out)
 {
-  *ok = true;
+  int64_t v = 0;
+  if (!ParseI64(value, &v) || v < min || v > INT_MAX) return false;
+  *out = static_cast<int>(v);
+  return true;
+}
+
+bool
+ErrnoFromName(const std::string& name, int* out)
+{
   for (const ErrnoEntry& e : kErrnoTable) {
-    if (name == e.name) return e.value;
+    if (name == e.name) {
+      *out = e.value;
+      return true;
+    }
   }
-  if (!name.empty() &&
-      name.find_first_not_of("0123456789") == std::string::npos) {
-    return std::atoi(name.c_str());
-  }
-  *ok = false;
-  return 0;
+  return ParseInt(name, 0, out);
+}
+
+Status
+BadValue(const std::string& key, const std::string& value, const char* want)
+{
+  return Status::Error(Format("fault plan: %s=%s is not %s", key.c_str(),
+                              value.c_str(), want));
 }
 
 const char*
@@ -152,7 +167,9 @@ FaultInjector::ParsePlan(const std::string& spec, FaultPlan* out)
       const std::string key(Trim(f.substr(0, eq)));
       const std::string value(Trim(f.substr(eq + 1)));
       if (key == "seed") {
-        plan.seed = std::strtoull(value.c_str(), nullptr, 0);
+        if (!ParseU64(value, 0, &plan.seed)) {
+          return BadValue(key, value, "an unsigned 64-bit integer");
+        }
       } else if (key == "site") {
         rule.site = value;
         is_rule = true;
@@ -164,21 +181,26 @@ FaultInjector::ParsePlan(const std::string& spec, FaultPlan* out)
         }
         is_rule = true;
       } else if (key == "errno") {
-        bool ok = false;
-        rule.error_number = ErrnoFromName(value, &ok);
-        if (!ok) {
-          return Status::Error(Format(
-              "fault plan: unknown errno '%s'", value.c_str()));
+        if (!ErrnoFromName(value, &rule.error_number)) {
+          return BadValue(key, value, "a known errno name or an int >= 0");
         }
         is_rule = true;
       } else if (key == "nth") {
-        rule.nth = std::atoi(value.c_str());
+        if (!ParseInt(value, 1, &rule.nth)) {
+          return BadValue(key, value, "an int >= 1");
+        }
         is_rule = true;
       } else if (key == "times") {
-        rule.times = std::atoi(value.c_str());
+        if (!ParseInt(value, -1, &rule.times)) {
+          return BadValue(key, value, "an int >= -1");
+        }
         is_rule = true;
       } else if (key == "p") {
-        rule.probability = std::atof(value.c_str());
+        // The negated range test also rejects NaN.
+        if (!ParseF64(value, &rule.probability) ||
+            !(rule.probability >= 0 && rule.probability <= 1)) {
+          return BadValue(key, value, "a probability in [0, 1]");
+        }
         is_rule = true;
       } else if (key == "match") {
         rule.match = value;
@@ -195,10 +217,6 @@ FaultInjector::ParsePlan(const std::string& spec, FaultPlan* out)
     if (rule.site.empty()) {
       return Status::Error(Format(
           "fault plan: rule '%s' has no site=", std::string(trimmed).c_str()));
-    }
-    if (rule.nth < 1) {
-      return Status::Error(Format(
-          "fault plan: site %s: nth must be >= 1", rule.site.c_str()));
     }
     plan.rules.push_back(std::move(rule));
   }

@@ -36,7 +36,9 @@
 /// call that fires, 1-based; default 1), times (how many consecutive
 /// matching calls fire; -1 = forever; default 1), p (probability per
 /// matching call instead of the nth/times window), match (substring the
-/// call's detail must contain), msg (custom message text).
+/// call's detail must contain), msg (custom message text). Numbers parse
+/// strictly: a value with trailing junk, out of its type's range, a p
+/// outside [0, 1] or a times below -1 fails the whole plan.
 
 #ifndef KERNELGPT_UTIL_FAULT_H_
 #define KERNELGPT_UTIL_FAULT_H_

@@ -1,7 +1,7 @@
 /// \file
 /// Minimal contiguous-range view (C++17 has no std::span). Used by the
-/// batched executor to accept programs from any contiguous container
-/// without copying or templating the API.
+/// executor and the differential runner to accept programs from any
+/// contiguous container without copying or templating the API.
 
 #ifndef KERNELGPT_UTIL_SPAN_H_
 #define KERNELGPT_UTIL_SPAN_H_

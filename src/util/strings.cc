@@ -1,8 +1,10 @@
 #include "util/strings.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdarg>
 #include <cstdio>
+#include <cstdlib>
 
 namespace kernelgpt::util {
 
@@ -72,6 +74,59 @@ bool
 Contains(std::string_view haystack, std::string_view needle)
 {
   return haystack.find(needle) != std::string_view::npos;
+}
+
+bool
+ParseU64(std::string_view tok, int base, uint64_t* out)
+{
+  // strtoull silently wraps negative input and skips leading whitespace;
+  // both would let a corrupt field parse "successfully", so an unsigned
+  // field must start with a digit.
+  if (tok.empty() || !std::isxdigit(static_cast<unsigned char>(tok[0]))) {
+    return false;
+  }
+  std::string buf(tok);
+  char* end = nullptr;
+  errno = 0;
+  uint64_t v = std::strtoull(buf.c_str(), &end, base);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool
+ParseI64(std::string_view tok, int64_t* out)
+{
+  if (tok.empty()) return false;
+  // Signed fields allow exactly one leading '-'; no whitespace or '+'
+  // (strtoll would accept both).
+  const std::string_view digits = tok[0] == '-' ? tok.substr(1) : tok;
+  if (digits.empty() || !std::isxdigit(static_cast<unsigned char>(digits[0]))) {
+    return false;
+  }
+  std::string buf(tok);
+  char* end = nullptr;
+  errno = 0;
+  int64_t v = std::strtoll(buf.c_str(), &end, 10);
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  *out = v;
+  return true;
+}
+
+bool
+ParseF64(std::string_view tok, double* out)
+{
+  if (tok.empty() || tok[0] == '+' ||
+      std::isspace(static_cast<unsigned char>(tok[0]))) {
+    return false;
+  }
+  std::string buf(tok);
+  char* end = nullptr;
+  errno = 0;
+  double v = std::strtod(buf.c_str(), &end);  // Accepts the %a hexfloats.
+  if (errno != 0 || end != buf.c_str() + buf.size()) return false;
+  *out = v;
+  return true;
 }
 
 std::string

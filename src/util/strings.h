@@ -4,6 +4,7 @@
 #ifndef KERNELGPT_UTIL_STRINGS_H_
 #define KERNELGPT_UTIL_STRINGS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -30,6 +31,18 @@ bool EndsWith(std::string_view s, std::string_view suffix);
 
 /// True if `needle` occurs in `haystack`.
 bool Contains(std::string_view haystack, std::string_view needle);
+
+/// Strict number parsers: the whole of `tok` must be the number (no
+/// leading whitespace or '+', no trailing junk) and it must be in range
+/// (strto* reports no ERANGE). On failure they return false and leave
+/// `*out` untouched.
+///
+/// ParseU64 reads base `base` (0 = strtoull's 0x/0 prefix detection) and
+/// rejects any sign; ParseI64 reads base 10 with at most one leading '-';
+/// ParseF64 also accepts the %a hexfloats.
+bool ParseU64(std::string_view tok, int base, uint64_t* out);
+bool ParseI64(std::string_view tok, int64_t* out);
+bool ParseF64(std::string_view tok, double* out);
 
 /// Lower-cases ASCII letters.
 std::string ToLower(std::string_view s);

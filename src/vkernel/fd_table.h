@@ -102,8 +102,6 @@ class FdTable {
   std::vector<FdEntry>& entries() { return entries_; }
   const std::vector<FdEntry>& entries() const { return entries_; }
 
-  bool empty() const { return entries_.empty(); }
-
   /// Drops all slots and restarts descriptor numbering (program reset).
   void Clear() {
     entries_.clear();

@@ -1,10 +1,5 @@
 #include "vkernel/kernel.h"
 
-#include <algorithm>
-#include <stdexcept>
-
-#include "util/fault.h"
-
 namespace kernelgpt::vkernel {
 
 uint64_t
@@ -82,59 +77,21 @@ Kernel::MarkFamilyDirty(size_t index)
 }
 
 void
-Kernel::ResetModules(bool dirty_only)
-{
-  if (dirty_only) {
-    for (size_t i : dirty_devices_) {
-      devices_[i]->ResetState();
-      device_dirty_[i] = 0;
-    }
-    for (size_t i : dirty_families_) {
-      families_[i]->ResetState();
-      family_dirty_[i] = 0;
-    }
-  } else {
-    for (auto& d : devices_) d->ResetState();
-    for (auto& f : families_) f->ResetState();
-    std::fill(device_dirty_.begin(), device_dirty_.end(), 0);
-    std::fill(family_dirty_.begin(), family_dirty_.end(), 0);
-  }
-  dirty_devices_.clear();
-  dirty_families_.clear();
-}
-
-void
 Kernel::BeginProgram()
 {
   fds_.Clear();
-  ResetModules(/*dirty_only=*/in_batch_);
-}
-
-void
-Kernel::BeginBatch()
-{
-  KERNELGPT_FAULT_POINT("vkernel.begin_batch", policy_.name);
-  // Documented precondition, now enforced: a batch window may only open
-  // on a pristine kernel. A nested window or a window opened mid-program
-  // (live descriptors) would let dirty-entry state — and pooled handlers
-  // the recycler never saw back — leak across program boundaries.
-  if (in_batch_) {
-    throw std::logic_error(
-        "Kernel::BeginBatch: batch window already open (missing EndBatch)");
+  // Only modules touched since their last reset can differ from pristine
+  // (resetting an untouched module is a no-op), so reset just those.
+  for (size_t i : dirty_devices_) {
+    devices_[i]->ResetState();
+    device_dirty_[i] = 0;
   }
-  if (!fds_.empty()) {
-    throw std::logic_error(
-        "Kernel::BeginBatch: fd table not pristine (batch opened "
-        "mid-program; descriptors from the running program would leak)");
+  for (size_t i : dirty_families_) {
+    families_[i]->ResetState();
+    family_dirty_[i] = 0;
   }
-  in_batch_ = true;
-}
-
-void
-Kernel::EndBatch()
-{
-  in_batch_ = false;
-  ResetModules(/*dirty_only=*/false);
+  dirty_devices_.clear();
+  dirty_families_.clear();
 }
 
 void

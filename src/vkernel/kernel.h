@@ -84,7 +84,7 @@ struct KernelPolicy {
 /// Single-threaded virtual kernel instance.
 ///
 /// Drivers and socket families are registered once; BeginProgram() resets
-/// per-program state (fd table and module state) between fuzz programs,
+/// per-program state (fd table and touched modules) between fuzz programs,
 /// like rebooting a lightweight VM snapshot.
 class Kernel : public KernelModel {
  public:
@@ -116,28 +116,13 @@ class Kernel : public KernelModel {
 
   // -- Program lifecycle ---------------------------------------------------
 
-  /// Resets the fd table and per-program module state. Outside a batch
-  /// window every module is reset (the legacy full reset); inside one,
-  /// only modules actually touched since their last reset are — the
-  /// batched executor's amortization. Both orders are observable-state
-  /// equivalent because resetting an untouched module is a no-op.
+  /// Resets the fd table and the modules touched since their last reset,
+  /// so every program starts from the freshly booted state. Untouched
+  /// modules are skipped: resetting them would be a no-op.
   void BeginProgram() override;
 
   /// Closes all remaining descriptors (releasing driver objects).
   void EndProgram(ExecContext& ctx) override;
-
-  /// Opens a batch window: BeginProgram() switches to dirty-module-only
-  /// resets until EndBatch(). Must be called with the kernel pristine
-  /// (freshly booted, or after a completed program / closed batch);
-  /// misuse — a nested batch, or a batch opened mid-program while
-  /// descriptors are live — is enforced with a cheap always-on check
-  /// that throws std::logic_error (fault site "vkernel.begin_batch").
-  void BeginBatch() override;
-
-  /// Closes the batch window and restores the pristine state with one
-  /// full module reset, so any dirty-tracking miss cannot leak past a
-  /// batch boundary.
-  void EndBatch() override;
 
   // -- Syscalls ------------------------------------------------------------
 
@@ -194,16 +179,14 @@ class Kernel : public KernelModel {
       device_by_path_;
 
   /// Modules touched since their last ResetState() (indices into
-  /// devices_ / families_). Drives the dirty-only reset inside batches.
+  /// devices_ / families_): the set BeginProgram() resets.
   std::vector<size_t> dirty_devices_;
   std::vector<size_t> dirty_families_;
   std::vector<char> device_dirty_;
   std::vector<char> family_dirty_;
-  bool in_batch_ = false;
 
   void MarkDeviceDirty(size_t index);
   void MarkFamilyDirty(size_t index);
-  void ResetModules(bool dirty_only);
 
   /// Per-program descriptor table; numbering is owned by the policy's
   /// FdLayout (the strict unified layout reproduces the historical

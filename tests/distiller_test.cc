@@ -74,7 +74,7 @@ TEST_F(DistillerTest, DistilledCoverageEqualsMergedCoverageWithFewerPrograms)
   vkernel::Kernel kernel;
   Boot(&kernel);
   Executor executor(&kernel, &lib);
-  executor.RunBatch(distilled.corpus, &replayed);
+  for (const Prog& prog : distilled.corpus) executor.Run(prog, &replayed);
   EXPECT_EQ(replayed.blocks(), distilled.coverage.blocks());
   EXPECT_TRUE(replayed.CoversAll(distilled.coverage));
   EXPECT_TRUE(distilled.coverage.CoversAll(replayed));

@@ -1,13 +1,15 @@
 // Tests for the hot-path execution engine (PR 2): opcode dispatch parity
 // against the legacy string-comparison chain, dense-coverage equivalence
-// with set semantics, zero-copy buffer behaviour, and batched-executor
-// determinism (batch_size must never change results).
+// with set semantics, zero-copy buffer behaviour, and the per-program
+// reset (a program's outcome never depends on what ran before it).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <unordered_set>
 
+#include "drivers/corpus.h"
+#include "drivers/model_spec.h"
 #include "experiments/context.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/generator.h"
@@ -300,34 +302,83 @@ TEST_F(HotPathTest, BufferViewReadsWithoutCopyAndMaterializesOnWrite)
 }
 
 // ---------------------------------------------------------------------------
-// Batched execution
+// Per-program reset
 // ---------------------------------------------------------------------------
 
-TEST_F(HotPathTest, BatchSizeDoesNotChangeCampaignResults)
+// BeginProgram() resets only the modules earlier programs touched, so a
+// long-lived kernel must be indistinguishable from a freshly booted one:
+// every program of a mixed driver + tcp/udp stream yields the same crash,
+// per-call results, end-of-program fd and module state, and coverage
+// signature either way.
+TEST_F(HotPathTest, LongLivedKernelMatchesFreshBootPerProgram)
 {
-  SpecLibrary lib = SuiteLibrary();
-  CampaignOptions base;
-  base.seed = 4242;
-  base.program_budget = 6000;
-
-  auto run_with_batch = [&](int batch_size) {
-    vkernel::Kernel kernel;
-    Boot(&kernel);
-    CampaignOptions options = base;
-    options.batch_size = batch_size;
-    return RunCampaign(&kernel, lib, options);
-  };
-
-  CampaignResult unbatched = run_with_batch(1);
-  EXPECT_GT(unbatched.coverage.Count(), 0u);
-  for (int batch_size : {2, 32, 7919}) {
-    CampaignResult batched = run_with_batch(batch_size);
-    EXPECT_EQ(unbatched.coverage.blocks(), batched.coverage.blocks())
-        << "batch_size " << batch_size;
-    EXPECT_EQ(unbatched.crashes, batched.crashes);
-    EXPECT_EQ(unbatched.programs_executed, batched.programs_executed);
-    EXPECT_EQ(unbatched.corpus_size, batched.corpus_size);
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  std::vector<syzlang::SpecFile> net = {
+      drivers::GroundTruthSocketSpec(*corpus.FindSocket("tcp")),
+      drivers::GroundTruthSocketSpec(*corpus.FindSocket("udp"))};
+  std::vector<const syzlang::SpecFile*> specs = {&net[0], &net[1]};
+  for (const auto& m : Context().modules()) {
+    specs.push_back(&m.existing);
+    if (m.KernelGptUsable()) specs.push_back(&m.kernelgpt.spec);
   }
+  SpecLibrary lib = Context().MakeLibrary(specs);
+
+  // Net syscalls are a small share of the suite, so every other program
+  // is built from them alone: those leave ports, bindings and TIME_WAIT
+  // behind for the reset to clear.
+  std::unordered_set<std::string> net_names;
+  for (const syzlang::SpecFile& spec : net) {
+    for (const syzlang::SyscallDef* def : spec.Syscalls()) {
+      net_names.insert(def->name);
+    }
+  }
+  std::vector<size_t> net_calls;
+  for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+    if (net_names.count(lib.syscalls()[i].name)) net_calls.push_back(i);
+  }
+  ASSERT_FALSE(net_calls.empty());
+
+  util::Rng rng(606);
+  Generator generator(&lib, &rng);
+  std::vector<Prog> progs;
+  for (int i = 0; i < 300; ++i) {
+    Prog prog;
+    if (i % 2 == 0) {
+      prog = generator.Generate(8);
+    } else {
+      for (int n = 0; n < 8; ++n) {
+        generator.AppendCall(&prog, net_calls[rng.Below(net_calls.size())]);
+      }
+    }
+    if (!prog.empty()) progs.push_back(std::move(prog));
+  }
+
+  vkernel::Kernel long_lived;
+  Boot(&long_lived);
+  Executor long_exec(&long_lived, &lib);
+  size_t non_empty_module_states = 0;
+  for (size_t i = 0; i < progs.size(); ++i) {
+    vkernel::Coverage long_sig;
+    ExecTrace long_trace;
+    ExecResult got = long_exec.Run(progs[i], &long_sig, &long_trace);
+
+    vkernel::Kernel fresh;
+    Boot(&fresh);
+    vkernel::Coverage fresh_sig;
+    ExecTrace fresh_trace;
+    ExecResult want =
+        Executor(&fresh, &lib).Run(progs[i], &fresh_sig, &fresh_trace);
+
+    EXPECT_EQ(got.crash_title, want.crash_title) << "program " << i;
+    EXPECT_EQ(long_trace.results, fresh_trace.results) << "program " << i;
+    EXPECT_EQ(long_trace.end_shape, fresh_trace.end_shape) << "program " << i;
+    EXPECT_EQ(long_trace.module_state, fresh_trace.module_state)
+        << "program " << i;
+    EXPECT_EQ(long_sig.blocks(), fresh_sig.blocks()) << "program " << i;
+    if (!fresh_trace.module_state.empty()) ++non_empty_module_states;
+  }
+  // The stream must leave net state behind for the reset to clear.
+  EXPECT_GT(non_empty_module_states, progs.size() / 4);
 }
 
 TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
@@ -343,32 +394,43 @@ TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)
 
   vkernel::Kernel kernel_batch;
   vkernel::Kernel kernel_single;
+  vkernel::Kernel kernel_own;
   Boot(&kernel_batch);
   Boot(&kernel_single);
+  Boot(&kernel_own);
   Executor batch_exec(&kernel_batch, &lib);
   Executor single_exec(&kernel_single, &lib);
+  // Each signature is the program's own coverage: what it covers when
+  // run into an empty bitmap.
+  Executor own_exec(&kernel_own, &lib);
 
   vkernel::Coverage cov_batch;
   vkernel::Coverage cov_single;
-  std::vector<ExecResult> batched = batch_exec.RunBatch(progs, &cov_batch);
+  std::vector<vkernel::Coverage> signatures;
+  std::vector<ExecResult> batched =
+      batch_exec.RunBatch(progs, &cov_batch, &signatures);
   ASSERT_EQ(batched.size(), progs.size());
+  ASSERT_EQ(signatures.size(), progs.size());
   for (size_t i = 0; i < progs.size(); ++i) {
     ExecResult single = single_exec.Run(progs[i], &cov_single);
     EXPECT_EQ(batched[i].crashed, single.crashed) << i;
     EXPECT_EQ(batched[i].crash_title, single.crash_title) << i;
     EXPECT_EQ(batched[i].calls_executed, single.calls_executed) << i;
     EXPECT_EQ(batched[i].new_blocks, single.new_blocks) << i;
+
+    vkernel::Coverage own;
+    own_exec.Run(progs[i], &own);
+    EXPECT_EQ(signatures[i].blocks(), own.blocks()) << i;
   }
   EXPECT_EQ(cov_batch.blocks(), cov_single.blocks());
 }
 
-TEST_F(HotPathTest, BatchedOneWorkerOrchestratorStillBitIdenticalToSerial)
+TEST_F(HotPathTest, OneWorkerOrchestratorOnFullSuiteBitIdenticalToSerial)
 {
   SpecLibrary lib = SuiteLibrary();
   CampaignOptions campaign;
   campaign.seed = 314;
   campaign.program_budget = 4000;
-  campaign.batch_size = 16;
 
   vkernel::Kernel kernel;
   Boot(&kernel);

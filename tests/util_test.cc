@@ -167,6 +167,38 @@ TEST(StringsTest, ApproxTokenCountScalesWithLength)
   EXPECT_GE(large, 900u);
 }
 
+TEST(StringsTest, NumberParsersAreStrict)
+{
+  uint64_t u = 0;
+  EXPECT_TRUE(ParseU64("42", 10, &u));
+  EXPECT_EQ(u, 42u);
+  EXPECT_TRUE(ParseU64("0x2a", 0, &u));
+  EXPECT_EQ(u, 42u);
+  EXPECT_TRUE(ParseU64("ff", 16, &u));
+  EXPECT_EQ(u, 255u);
+  for (const char* bad : {"", "2x", " 2", "+2", "-2", "18446744073709551616"}) {
+    EXPECT_FALSE(ParseU64(bad, 10, &u)) << bad;
+  }
+  EXPECT_EQ(u, 255u);  // Untouched by the failures.
+
+  int64_t i = 0;
+  EXPECT_TRUE(ParseI64("-7", &i));
+  EXPECT_EQ(i, -7);
+  for (const char* bad :
+       {"", "-", "--7", "+7", " 7", "7 ", "9223372036854775808"}) {
+    EXPECT_FALSE(ParseI64(bad, &i)) << bad;
+  }
+
+  double d = 0;
+  EXPECT_TRUE(ParseF64("0.25", &d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  EXPECT_TRUE(ParseF64("0x1p-2", &d));
+  EXPECT_DOUBLE_EQ(d, 0.25);
+  for (const char* bad : {"", "abc", "0.5x", " 0.5", "+0.5", "1e999"}) {
+    EXPECT_FALSE(ParseF64(bad, &d)) << bad;
+  }
+}
+
 TEST(TableTest, RendersAlignedColumns)
 {
   Table t({"Name", "Cov"});
@@ -270,6 +302,14 @@ TEST(FaultTest, RejectsMalformedPlans)
   EXPECT_FALSE(FaultInjector::ParsePlan("site=x,nth=0", &plan).ok());
   EXPECT_FALSE(FaultInjector::ParsePlan("site=x,volume=11", &plan).ok());
   EXPECT_FALSE(FaultInjector::ParsePlan("site=x,kindthrow", &plan).ok());
+  // Malformed numbers: trailing junk, non-numbers, out of range.
+  for (const char* spec :
+       {"site=x,nth=2x", "site=x,p=abc", "site=x,times=abc", "site=x,p=7",
+        "site=x,p=-0.5", "site=x,p=nan", "seed=zz", "seed=-1",
+        "site=x,errno=99999999999", "site=x,errno=-5", "site=x,times=-2",
+        "site=x,nth=4294967297", "site=x,nth="}) {
+    EXPECT_FALSE(FaultInjector::ParsePlan(spec, &plan).ok()) << spec;
+  }
 }
 
 TEST(FaultTest, NthTimesWindowFiresDeterministically)
