@@ -121,6 +121,25 @@ BM_ExecutorDispatch(benchmark::State& state)
 }
 BENCHMARK(BM_ExecutorDispatch);
 
+/// Kernel boot: Corpus::RegisterAll into a fresh strict model, plus its
+/// teardown — what every campaign, distill, diff and minimize pass pays
+/// per kernel. The module images are compiled by the warm-up boot
+/// before the loop, as they are once per process in a real run. Items =
+/// boots, in real time.
+void
+BM_KernelBoot(benchmark::State& state)
+{
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  corpus.RegisterAll(vkernel::MakeStrictModel().get());
+  for (auto _ : state) {
+    std::unique_ptr<vkernel::KernelModel> kernel = vkernel::MakeStrictModel();
+    corpus.RegisterAll(kernel.get());
+    benchmark::DoNotOptimize(kernel.get());
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_KernelBoot)->UseRealTime();
+
 /// Per-open cost of the vkernel open path: open + close of a model
 /// device in steady state, where the handler pool (PR 4) serves every
 /// open from its free list — zero allocations per iteration. Items =
@@ -241,10 +260,11 @@ BENCHMARK(BM_Distill);
 /// through a pre-booted single-model Executor (Arg 0) vs a full
 /// strict-vs-permissive DiffRunner pass with minimization off (Arg 1).
 /// The ns ratio between the two args is the oracle's overhead factor
-/// per pass: dual execution with per-call trace comparison PLUS booting
-/// both model pairs from scratch, which the runner pays once per Run()
-/// and which dominates at this corpus size. Items = programs, so
-/// items/sec stays comparable to BM_FuzzThroughput.
+/// per pass: dual execution with per-call trace comparison plus booting
+/// the model pair once per Run(). Boots instantiate drivers over images
+/// compiled once per process (see BM_KernelBoot), so at this corpus
+/// size the dual execution, not the boot, is most of the cost. Items =
+/// programs, so items/sec stays comparable to BM_FuzzThroughput.
 void
 BM_DiffRunnerOverhead(benchmark::State& state)
 {

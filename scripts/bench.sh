@@ -163,7 +163,7 @@ echo "== running hot-path benchmarks =="
 # (and is flat on 1-CPU containers), so it would poison the trajectory
 # file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead' \
+  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_KernelBoot' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -216,6 +216,15 @@ result = {
         "ns_per_count_not_in_256_blocks": ns_per_item("BM_CoverageCountNotIn/256"),
         "ns_per_count_not_in_4096_blocks": ns_per_item("BM_CoverageCountNotIn/4096"),
         "ns_per_hit": ns_per_item("BM_CoverageHit"),
+    },
+    # Kernel boot: Corpus::RegisterAll into a fresh model plus teardown,
+    # over module images compiled once per process. Recorded, not gated.
+    "kernel_boot": {
+        "boots_per_sec": items_per_sec("BM_KernelBoot/real_time"),
+        "us_per_boot": (
+            round(ns_per_item("BM_KernelBoot/real_time") / 1000.0, 2)
+            if ns_per_item("BM_KernelBoot/real_time") else None
+        ),
     },
     # vkernel open path (PR 4): one program's open/close round trip of a
     # model device, with the handler pool serving steady-state opens.
@@ -274,8 +283,8 @@ result = {
     # Differential oracle (PR 8): the same corpus through a pre-booted
     # bare Executor vs a full strict-vs-permissive DiffRunner pass
     # (minimization off). The ratio is the per-pass overhead factor —
-    # dual execution + per-call trace comparison + booting both model
-    # pairs, which dominates at the benchmark's corpus size.
+    # dual execution + per-call trace comparison + booting the model
+    # pair (cheap since boots share compiled module images).
     "differential": {
         "bare_programs_per_sec": items_per_sec("BM_DiffRunnerOverhead/0"),
         "diff_programs_per_sec": items_per_sec("BM_DiffRunnerOverhead/1"),

@@ -62,6 +62,15 @@ AttachLegacyBug(DeviceSpec* dev, std::string title,
   first.bug = std::move(bug);
 }
 
+/// Loaded under the syzbot config and not excluded: the modules
+/// generation targets and RegisterAll boots.
+template <typename Spec>
+bool
+IsLoaded(const Spec& spec)
+{
+  return spec.loaded_in_syzbot && !spec.excluded;
+}
+
 }  // namespace
 
 Corpus::Corpus()
@@ -337,7 +346,7 @@ Corpus::LoadedDevices() const
 {
   std::vector<const DeviceSpec*> out;
   for (const auto& d : devices_) {
-    if (d.loaded_in_syzbot && !d.excluded) out.push_back(&d);
+    if (IsLoaded(d)) out.push_back(&d);
   }
   return out;
 }
@@ -347,7 +356,7 @@ Corpus::LoadedSockets() const
 {
   std::vector<const SocketSpec*> out;
   for (const auto& s : sockets_) {
-    if (s.loaded_in_syzbot && !s.excluded) out.push_back(&s);
+    if (IsLoaded(s)) out.push_back(&s);
   }
   return out;
 }
@@ -367,26 +376,37 @@ Corpus::BuildIndex() const
 }
 
 void
+Corpus::CompileImages() const
+{
+  device_images_.resize(devices_.size());
+  for (size_t i = 0; i < devices_.size(); ++i) {
+    if (IsLoaded(devices_[i])) device_images_[i] = CompileDevice(devices_[i]);
+  }
+  socket_images_.resize(sockets_.size());
+  for (size_t i = 0; i < sockets_.size(); ++i) {
+    const SocketSpec& s = sockets_[i];
+    if (IsLoaded(s) && !s.vnet) socket_images_[i] = CompileSocket(s);
+  }
+}
+
+void
 Corpus::RegisterAll(vkernel::KernelModel* kernel) const
 {
-  for (const auto& d : devices_) {
-    if (d.loaded_in_syzbot && !d.excluded) {
-      kernel->RegisterDevice(MakeModelDevice(&d));
-    }
+  std::call_once(compile_once_, [this] { CompileImages(); });
+  for (const auto& image : device_images_) {
+    if (image) kernel->RegisterDevice(MakeModelDevice(image));
   }
-  for (const auto& s : sockets_) {
-    if (!s.loaded_in_syzbot || s.excluded) continue;
-    if (s.vnet) {
+  for (size_t i = 0; i < sockets_.size(); ++i) {
+    const SocketSpec& s = sockets_[i];
+    if (socket_images_[i]) {
+      kernel->RegisterSocketFamily(MakeModelSocketFamily(socket_images_[i]));
+    } else if (IsLoaded(s) && s.vnet) {
       // Stateful vnet families; semantics follow the model's policy.
       vnet::VnetPolicy policy = vnet::VnetPolicy::FromModel(kernel);
-      if (s.id == "tcp") {
-        kernel->RegisterSocketFamily(vnet::MakeTcpFamily(&s, policy));
-      } else {
-        kernel->RegisterSocketFamily(vnet::MakeUdpFamily(&s, policy));
-      }
-      continue;
+      kernel->RegisterSocketFamily(s.id == "tcp"
+                                       ? vnet::MakeTcpFamily(&s, policy)
+                                       : vnet::MakeUdpFamily(&s, policy));
     }
-    kernel->RegisterSocketFamily(MakeModelSocketFamily(&s));
   }
 }
 

@@ -13,10 +13,12 @@
 #define KERNELGPT_DRIVERS_CORPUS_H_
 
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
 #include "drivers/driver_model.h"
+#include "drivers/model_runtime.h"
 #include "ksrc/definition_index.h"
 #include "vkernel/model.h"
 
@@ -44,12 +46,23 @@ class Corpus {
   ksrc::DefinitionIndex BuildIndex() const;
 
   /// Registers runtime drivers for all loaded modules into a kernel.
+  /// The first call compiles every loaded module's image (thread-safe);
+  /// each call after that only instantiates drivers over the shared
+  /// images. The vnet tcp/udp families build their small tables per boot.
   void RegisterAll(vkernel::KernelModel* kernel) const;
 
  private:
   Corpus();
+  void CompileImages() const;
+
   std::vector<DeviceSpec> devices_;
   std::vector<SocketSpec> sockets_;
+  /// Compiled images, parallel to devices_/sockets_ by position; null
+  /// for modules RegisterAll skips. Built by the first RegisterAll, not
+  /// here in the constructor, since spec generation never boots.
+  mutable std::once_flag compile_once_;
+  mutable std::vector<std::shared_ptr<const DeviceImage>> device_images_;
+  mutable std::vector<std::shared_ptr<const SocketImage>> socket_images_;
 };
 
 /// Builds a filler driver with deterministic structs/commands derived from

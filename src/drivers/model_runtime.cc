@@ -101,7 +101,7 @@ BlockLayout::ForSocket(const SocketSpec& sock)
   for (const auto& cmd : sock.ioctls) {
     walk_cmd(cmd.macro, cmd.checks.size(), cmd.deep_blocks);
   }
-  // Mirrors SocketRuntime's PseudoCommand expansion: the set pseudo
+  // Mirrors SocketImage's SET_/GET_ pseudo-commands: the set pseudo
   // carries the option's checks, the get pseudo none.
   for (const auto& opt : sock.sockopts) {
     walk_cmd("SET_" + opt.macro, opt.checks.size(), opt.deep_blocks);
@@ -127,53 +127,24 @@ BlockLayout::ForSocket(const SocketSpec& sock)
   return layout;
 }
 
-size_t
-MaxBlocksOf(const DeviceSpec& dev)
-{
-  return BlockLayout::ForDevice(dev).BlockCount();
-}
-
 namespace {
 
-/// Reads one top-level field of `layout` out of a user buffer.
+/// Reads one top-level field out of a user buffer; a field the struct
+/// lacks (null `fl.field`) reads as 0.
 uint64_t
-ReadField(const Buffer& buf, const StructLayout& layout,
-          const std::string& field)
+ReadField(const Buffer& buf, const FieldLayout& fl)
 {
-  const FieldLayout* fl = layout.Find(field);
-  if (!fl) return 0;
-  size_t scalar = fl->size > 8 ? 8 : fl->size;
-  return buf.ReadScalar(fl->offset, scalar);
+  if (!fl.field) return 0;
+  return buf.ReadScalar(fl.offset, fl.size > 8 ? 8 : fl.size);
 }
 
-/// Evaluates a validation check against the user buffer.
-bool
-CheckPasses(const CheckSpec& check, const Buffer& buf,
-            const StructLayout& layout, const StructSpec* arg)
+/// The layout of `name` in `layout`, resolved once at compile time so
+/// the execute path never compares field names. Empty when absent.
+FieldLayout
+FieldOf(const StructLayout& layout, const std::string& name)
 {
-  uint64_t raw = ReadField(buf, layout, check.field);
-  switch (check.kind) {
-    case CheckSpec::Kind::kRange: {
-      int64_t v = static_cast<int64_t>(raw);
-      return v >= check.min && v <= check.max;
-    }
-    case CheckSpec::Kind::kEquals:
-      return raw == check.value;
-    case CheckSpec::Kind::kNonZero:
-      return raw != 0;
-    case CheckSpec::Kind::kLenBound: {
-      uint64_t capacity = 4096;
-      if (arg) {
-        const FieldSpec* len_field = arg->FindField(check.field);
-        if (len_field) {
-          const FieldSpec* target = arg->FindField(len_field->len_of);
-          if (target && target->array_len > 0) capacity = target->array_len;
-        }
-      }
-      return raw <= capacity;
-    }
-  }
-  return false;
+  const FieldLayout* fl = layout.Find(name);
+  return fl ? *fl : FieldLayout{};
 }
 
 const StructSpec*
@@ -186,10 +157,9 @@ FindStructIn(const std::vector<StructSpec>& structs, const std::string& name)
   return nullptr;
 }
 
-/// Small-index bit set replacing the per-file unordered_set<string> that
-/// used to track executed command macros (sequence-bug state). Macros get
-/// dense indices at module-table build time; the hot path tests and sets
-/// bits, never hashing a string.
+/// Small-index bit set of the command macros a file has executed
+/// (sequence-bug state). Macros get dense indices at compile time, so
+/// the hot path tests and sets bits, never hashing a string.
 class ExecutedSet {
  public:
   bool Test(int idx) const {
@@ -217,76 +187,263 @@ class ExecutedSet {
   std::vector<uint64_t> hi_;  ///< Overflow words for >64 macros (rare).
 };
 
-/// Dense per-module macro numbering (commands, sockopt pseudo-commands,
-/// socket op names, and sequence-bug priors all share one namespace, as
-/// the old string set did).
-class MacroIndex {
+/// A validation check with its field and coverage block resolved.
+struct CompiledCheck {
+  const CheckSpec* spec = nullptr;
+  FieldLayout field;         ///< Null `field.field`: the struct lacks it.
+  uint64_t capacity = 4096;  ///< kLenBound: capacity of the counted array.
+  uint64_t block = 0;
+};
+
+/// A planted bug with its trigger field resolved; `spec` is null when
+/// the command has no bug.
+struct CompiledBug {
+  const BugSpec* spec = nullptr;
+  FieldLayout field;
+  int prior_idx = -1;  ///< kSequence: macro index of the prerequisite.
+};
+
+struct CmdRuntime;
+/// The compiled commands of one handler (file_operations instance).
+using HandlerTable = std::vector<CmdRuntime>;
+
+/// Everything one command needs at dispatch time: the match values, the
+/// arg struct's size and output fields, the resolved checks and bug, and
+/// the coverage block ids.
+struct CmdRuntime {
+  const StructSpec* arg_spec = nullptr;
+  size_t arg_size = 0;                 ///< Arg struct size (_IOC size).
+  std::vector<FieldLayout> out_fields;  ///< Kernel-written kOutValue fields.
+  uint64_t match_value = 0;            ///< Full ioctl command value.
+  uint64_t nr = 0;                     ///< _IOC_NR, for kIocNrSwitch.
+  uint64_t cmd_block = 0;
+  std::vector<CompiledCheck> checks;
+  CompiledBug bug;
+  std::vector<uint64_t> deep_block_ids;
+  int macro_idx = -1;
+  /// Set when the command creates a secondary fd; `sub_handler` is that
+  /// handler's table, or null when the spec names an unknown handler.
+  bool creates_handler = false;
+  const HandlerTable* sub_handler = nullptr;
+};
+
+/// One socket-level operation (bind/connect/...).
+struct OpRuntime {
+  bool supported = false;
+  uint64_t op_block = 0;
+  std::vector<CompiledCheck> checks;
+  CompiledBug bug;
+  std::vector<uint64_t> deep_block_ids;
+  int macro_idx = -1;
+};
+
+/// Compile-time state of one module: its structs, its dense block
+/// layout and the macro numbering shared by commands, sockopt
+/// pseudo-commands, socket ops and sequence-bug priors.
+class ModuleCompiler {
  public:
-  int Add(const std::string& name) {
-    auto [it, inserted] = map_.emplace(name, static_cast<int>(map_.size()));
-    (void)inserted;
-    return it->second;
+  ModuleCompiler(const std::vector<StructSpec>& structs, BlockLayout blocks)
+      : structs_(structs), blocks_(std::move(blocks)) {}
+
+  uint64_t Block(const std::string& role, const std::string& detail,
+                 uint32_t index) const {
+    return blocks_.IdOf(role, detail, index);
+  }
+
+  /// Compiles one command: an ioctl, or one of a sockopt's SET_/GET_
+  /// pseudo-commands (SET_ carries the option's checks and bug, GET_
+  /// neither).
+  CmdRuntime Command(const std::string& macro, const std::string& arg_struct,
+                     const std::vector<CheckSpec>& checks, int deep_blocks,
+                     const BugSpec* bug) {
+    CmdRuntime rt;
+    rt.arg_spec = FindStructIn(structs_, arg_struct);
+    StructLayout layout;
+    if (rt.arg_spec) {
+      layout = ComputeLayout(*rt.arg_spec, structs_);
+      rt.arg_size = layout.total_size;
+      for (const FieldLayout& fl : layout.fields) {
+        if (fl.field->kind == FieldSpec::Kind::kOutValue) {
+          rt.out_fields.push_back(fl);
+        }
+      }
+    }
+    rt.cmd_block = Block("cmd", macro, 0);
+    for (uint32_t k = 0; k < checks.size(); ++k) {
+      rt.checks.push_back(Check(checks[k], rt.arg_spec, layout,
+                                Block("check", macro, k + 1)));
+    }
+    for (int i = 0; i < deep_blocks; ++i) {
+      rt.deep_block_ids.push_back(
+          Block("deep", macro, static_cast<uint32_t>(i)));
+    }
+    rt.macro_idx = Macro(macro);
+    rt.bug = Bug(bug, layout);
+    return rt;
+  }
+
+  CmdRuntime Command(const IoctlSpec& cmd) {
+    CmdRuntime rt = Command(cmd.macro, cmd.arg_struct, cmd.checks,
+                            cmd.deep_blocks, cmd.bug ? &*cmd.bug : nullptr);
+    rt.nr = cmd.nr;
+    rt.creates_handler = !cmd.creates_handler.empty();
+    return rt;
+  }
+
+  /// Compiles a socket op; its checks and field triggers read `addr`.
+  OpRuntime Op(const char* op, const SocketOpSpec& spec,
+               const StructSpec* addr, const StructLayout& addr_layout) {
+    OpRuntime rt;
+    rt.supported = spec.supported;
+    rt.op_block = Block("op", op, 0);
+    uint32_t idx = 1;
+    for (const CheckSpec& check : spec.checks) {
+      rt.checks.push_back(
+          Check(check, addr, addr_layout,
+                Block(std::string("op-check-") + op, check.field, idx++)));
+    }
+    for (int i = 0; i < spec.deep_blocks; ++i) {
+      rt.deep_block_ids.push_back(Block(std::string("op-deep-") + op, "",
+                                        static_cast<uint32_t>(i)));
+    }
+    rt.macro_idx = Macro(op);
+    rt.bug = Bug(spec.bug ? &*spec.bug : nullptr, addr_layout);
+    return rt;
   }
 
  private:
-  std::unordered_map<std::string, int> map_;
-};
+  int Macro(const std::string& name) {
+    return macros_.emplace(name, static_cast<int>(macros_.size()))
+        .first->second;
+  }
 
-/// Everything one command needs at dispatch time, computed once per
-/// module instead of per call: the resolved arg struct and its layout,
-/// the precomputed match/validation values, and the coverage block ids
-/// (the old code re-hashed module/role/detail strings on every hit).
-struct CmdRuntime {
-  const IoctlSpec* cmd = nullptr;
-  const StructSpec* arg_spec = nullptr;
-  StructLayout layout;
-  std::vector<size_t> out_fields;  ///< Indices of kOutValue layout fields.
-  uint64_t match_value = 0;        ///< Full ioctl command value.
-  uint64_t expect_size = 0;        ///< Arg struct size (_IOC size check).
-  uint64_t cmd_block = 0;
-  std::vector<uint64_t> check_blocks;
-  std::vector<uint64_t> deep_block_ids;
-  int macro_idx = -1;
-  int bug_prior_idx = -1;
-};
-
-void
-FillCmdRuntime(CmdRuntime* rt, const BlockLayout& blocks,
-               const IoctlSpec& cmd, const std::vector<StructSpec>& structs,
-               MacroIndex* macros)
-{
-  rt->cmd = &cmd;
-  rt->arg_spec = FindStructIn(structs, cmd.arg_struct);
-  if (rt->arg_spec) {
-    rt->layout = ComputeLayout(*rt->arg_spec, structs);
-    for (size_t i = 0; i < rt->layout.fields.size(); ++i) {
-      if (rt->layout.fields[i].field->kind == FieldSpec::Kind::kOutValue) {
-        rt->out_fields.push_back(i);
+  static CompiledCheck Check(const CheckSpec& check, const StructSpec* arg,
+                             const StructLayout& layout, uint64_t block) {
+    CompiledCheck out;
+    out.spec = &check;
+    out.field = FieldOf(layout, check.field);
+    out.block = block;
+    if (check.kind == CheckSpec::Kind::kLenBound && arg) {
+      if (const FieldSpec* len_field = arg->FindField(check.field)) {
+        const FieldSpec* target = arg->FindField(len_field->len_of);
+        if (target && target->array_len > 0) out.capacity = target->array_len;
       }
     }
+    return out;
   }
-  rt->expect_size = StructByteSize(cmd.arg_struct, structs);
-  rt->cmd_block = blocks.IdOf("cmd", cmd.macro, 0);
-  for (uint32_t idx = 1; idx <= cmd.checks.size(); ++idx) {
-    rt->check_blocks.push_back(blocks.IdOf("check", cmd.macro, idx));
+
+  CompiledBug Bug(const BugSpec* bug, const StructLayout& layout) {
+    CompiledBug out;
+    if (!bug) return out;
+    out.spec = bug;
+    out.field = FieldOf(layout, bug->field);
+    if (bug->trigger == BugSpec::Trigger::kSequence) {
+      out.prior_idx = Macro(bug->prior_cmd);
+    }
+    return out;
   }
-  for (int i = 0; i < cmd.deep_blocks; ++i) {
-    rt->deep_block_ids.push_back(
-        blocks.IdOf("deep", cmd.macro, static_cast<uint32_t>(i)));
+
+  const std::vector<StructSpec>& structs_;
+  BlockLayout blocks_;
+  std::unordered_map<std::string, int> macros_;
+};
+
+/// Evaluates a validation check against the user buffer.
+bool
+CheckPasses(const CompiledCheck& check, const Buffer& buf)
+{
+  const uint64_t raw = ReadField(buf, check.field);
+  switch (check.spec->kind) {
+    case CheckSpec::Kind::kRange: {
+      int64_t v = static_cast<int64_t>(raw);
+      return v >= check.spec->min && v <= check.spec->max;
+    }
+    case CheckSpec::Kind::kEquals:
+      return raw == check.spec->value;
+    case CheckSpec::Kind::kNonZero:
+      return raw != 0;
+    case CheckSpec::Kind::kLenBound:
+      return raw <= check.capacity;
   }
-  rt->macro_idx = macros->Add(cmd.macro);
-  if (cmd.bug && cmd.bug->trigger == BugSpec::Trigger::kSequence) {
-    rt->bug_prior_idx = macros->Add(cmd.bug->prior_cmd);
+  return false;
+}
+
+/// Mutable state of one open device file or socket.
+struct FileState {
+  uint64_t next_out = 0;  ///< Counter behind kernel-written out fields.
+  ExecutedSet executed;   ///< Macros already run (sequence-bug state).
+  /// Title of an armed kOnRelease bug; fires when the file is released.
+  const std::string* release_title = nullptr;
+};
+
+/// Evaluates a bug at the top of the deep path, where the rendered
+/// source places its trigger. `arg` is null when the command has no
+/// struct argument, so field triggers cannot fire.
+void
+TriggerBug(const CompiledBug& bug, const Buffer* arg, FileState* state,
+           ExecContext& ctx)
+{
+  if (!bug.spec) return;
+  const BugSpec& spec = *bug.spec;
+  bool fire = false;
+  switch (spec.trigger) {
+    case BugSpec::Trigger::kFieldAtLeast:
+      fire = arg && ReadField(*arg, bug.field) >= spec.value;
+      break;
+    case BugSpec::Trigger::kFieldEquals:
+      fire = arg && ReadField(*arg, bug.field) == spec.value;
+      break;
+    case BugSpec::Trigger::kFieldZero:
+      fire = arg && ReadField(*arg, bug.field) == 0;
+      break;
+    case BugSpec::Trigger::kSequence:
+      fire = state->executed.Test(bug.prior_idx);
+      break;
+    case BugSpec::Trigger::kOnRelease:
+      state->release_title = &spec.title;
+      break;
+    case BugSpec::Trigger::kAlways:
+      fire = true;
+      break;
   }
+  if (fire) ctx.Crash(spec.title);
+}
+
+/// Runs checks, bug triggers, deep path, and out-field writes for one
+/// matched command. Returns 0 or negative errno.
+long
+RunCommand(const CmdRuntime& rt, Buffer* arg, ExecContext& ctx,
+           FileState* state)
+{
+  ctx.Cover(rt.cmd_block);
+  if (rt.arg_spec) {
+    // copy_from_user fails when the user buffer is too small.
+    if (!arg || arg->size() < rt.arg_size) return -vkernel::kEFAULT;
+    for (const CompiledCheck& check : rt.checks) {
+      if (!CheckPasses(check, *arg)) return -vkernel::kEINVAL;
+      ctx.Cover(check.block);
+    }
+  }
+  TriggerBug(rt.bug, rt.arg_spec ? arg : nullptr, state, ctx);
+  for (uint64_t block : rt.deep_block_ids) ctx.Cover(block);
+  if (rt.arg_spec && arg) {
+    for (const FieldLayout& fl : rt.out_fields) {
+      arg->WriteScalar(fl.offset, fl.size > 8 ? 8 : fl.size,
+                       0x1000 + state->next_out++);
+    }
+  }
+  state->executed.Set(rt.macro_idx);
+  return 0;
 }
 
 /// Free-list of pooled per-open handler objects. The fuzzing hot path
 /// opens and closes device files millions of times; pooling reuses both
-/// the handler object (its strings/vectors keep their capacity) and its
-/// shared_ptr control block, so a steady-state open costs zero
-/// allocations. Each DeviceRuntime/SocketRuntime owns one pool; the
-/// vkernel returns handlers through the HandlerRecycler hook when their
-/// last descriptor drops. Kernels are single-threaded, so no locking.
+/// the handler object and its shared_ptr control block, so a
+/// steady-state open costs zero allocations. Each ModelDevice and
+/// ModelSocketFamily owns one pool — per kernel, never in the shared
+/// image; the vkernel returns handlers through the HandlerRecycler hook
+/// when their last descriptor drops. Kernels are single-threaded, so no
+/// locking.
 class HandlerPool : public vkernel::HandlerRecycler {
  public:
   void Recycle(std::shared_ptr<FileHandler> handler) override {
@@ -306,535 +463,368 @@ class HandlerPool : public vkernel::HandlerRecycler {
   std::vector<std::shared_ptr<FileHandler>> free_;
 };
 
-/// Shared per-command execution used by device files and sockets.
-/// Returns the syscall result; fills `created_fd_handler` when the
-/// command creates a secondary file.
-class CommandEngine {
- public:
-  CommandEngine() = default;
-
-  /// Runs checks, bug triggers, deep path, and out-field writes for one
-  /// matched command. `executed` carries the macros already run on this
-  /// file (sequence-bug state). Returns 0 or negative errno.
-  long RunCommand(const CmdRuntime& rt, Buffer* arg, ExecContext& ctx,
-                  ExecutedSet* executed, bool* release_bomb,
-                  std::string* release_title) {
-    const IoctlSpec& cmd = *rt.cmd;
-    ctx.Cover(rt.cmd_block);
-
-    if (rt.arg_spec) {
-      // copy_from_user fails when the user buffer is too small.
-      if (!arg || arg->size() < rt.layout.total_size) {
-        return -vkernel::kEFAULT;
-      }
-      for (size_t k = 0; k < cmd.checks.size(); ++k) {
-        if (!CheckPasses(cmd.checks[k], *arg, rt.layout, rt.arg_spec)) {
-          return -vkernel::kEINVAL;
-        }
-        ctx.Cover(rt.check_blocks[k]);
-      }
-    }
-
-    // Bug triggers evaluated at the top of the deep path, like the
-    // rendered source places them.
-    if (cmd.bug) {
-      const BugSpec& bug = *cmd.bug;
-      bool fire = false;
-      switch (bug.trigger) {
-        case BugSpec::Trigger::kFieldAtLeast:
-          fire = rt.arg_spec && arg &&
-                 ReadField(*arg, rt.layout, bug.field) >= bug.value;
-          break;
-        case BugSpec::Trigger::kFieldEquals:
-          fire = rt.arg_spec && arg &&
-                 ReadField(*arg, rt.layout, bug.field) == bug.value;
-          break;
-        case BugSpec::Trigger::kFieldZero:
-          fire = rt.arg_spec && arg &&
-                 ReadField(*arg, rt.layout, bug.field) == 0;
-          break;
-        case BugSpec::Trigger::kSequence:
-          fire = executed && executed->Test(rt.bug_prior_idx);
-          break;
-        case BugSpec::Trigger::kOnRelease:
-          if (release_bomb) {
-            *release_bomb = true;
-            *release_title = bug.title;
-          }
-          break;
-        case BugSpec::Trigger::kAlways:
-          fire = true;
-          break;
-      }
-      if (fire) ctx.Crash(bug.title);
-    }
-
-    for (uint64_t block : rt.deep_block_ids) ctx.Cover(block);
-
-    // Kernel-written output fields.
-    if (rt.arg_spec && arg) {
-      for (size_t fi : rt.out_fields) {
-        const FieldLayout& fl = rt.layout.fields[fi];
-        arg->WriteScalar(fl.offset, fl.size > 8 ? 8 : fl.size,
-                         0x1000 + next_out_++);
-      }
-    }
-    if (executed) executed->Set(rt.macro_idx);
-    return 0;
-  }
-
- private:
-  uint64_t next_out_ = 0;
-};
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Device side
 // ---------------------------------------------------------------------------
 
-/// Per-device precomputed tables, built once per ModelDevice (i.e. once
-/// per kernel boot) and shared by every file the device opens.
-struct DeviceRuntime {
+/// Immutable compiled runtime of one device spec. Commands and files
+/// hold pointers into it, so it can neither be copied nor moved.
+struct DeviceImage {
+  explicit DeviceImage(const DeviceSpec& spec);
+  DeviceImage(const DeviceImage&) = delete;
+  DeviceImage& operator=(const DeviceImage&) = delete;
+
   const DeviceSpec* dev;
-  BlockLayout blocks;  ///< Dense per-module block ids (spec order).
-  uint64_t open_block;
-  MacroIndex macros;
-  std::unordered_map<const HandlerSpec*, std::vector<CmdRuntime>> handlers;
-  /// Recycled ModelFile objects (primary and secondary handlers share
-  /// it; Reset rebinds the command table). Mutable: acquisition happens
-  /// through the const DeviceRuntime* the files hold.
-  mutable HandlerPool pool;
-
-  explicit DeviceRuntime(const DeviceSpec* d)
-      : dev(d),
-        blocks(BlockLayout::ForDevice(*d)),
-        open_block(blocks.IdOf("open", "", 0)) {
-    BuildHandler(&d->primary);
-    for (const auto& h : d->secondary) BuildHandler(&h);
-  }
-
-  void BuildHandler(const HandlerSpec* h) {
-    std::vector<CmdRuntime>& cmds = handlers[h];
-    cmds.resize(h->ioctls.size());
-    for (size_t i = 0; i < h->ioctls.size(); ++i) {
-      FillCmdRuntime(&cmds[i], blocks, h->ioctls[i], dev->structs, &macros);
-      cmds[i].match_value = FullCommandValue(*dev, h->ioctls[i]);
-    }
-  }
-
-  const std::vector<CmdRuntime>* CmdsOf(const HandlerSpec* h) const {
-    auto it = handlers.find(h);
-    return it == handlers.end() ? nullptr : &it->second;
-  }
+  uint64_t open_block = 0;
+  /// Command tables: the primary handler first, then each secondary
+  /// handler in spec order.
+  std::vector<HandlerTable> handlers;
 };
 
-std::shared_ptr<FileHandler> AcquireModelFile(const DeviceRuntime* rt,
-                                              const HandlerSpec* handler);
+DeviceImage::DeviceImage(const DeviceSpec& spec) : dev(&spec)
+{
+  ModuleCompiler compiler(spec.structs, BlockLayout::ForDevice(spec));
+  open_block = compiler.Block("open", "", 0);
+  std::vector<const HandlerSpec*> specs = {&spec.primary};
+  for (const HandlerSpec& h : spec.secondary) specs.push_back(&h);
+  handlers.resize(specs.size());
+  for (size_t h = 0; h < specs.size(); ++h) {
+    for (const IoctlSpec& cmd : specs[h]->ioctls) {
+      handlers[h].push_back(compiler.Command(cmd));
+      handlers[h].back().match_value = FullCommandValue(spec, cmd);
+    }
+  }
+  // `handlers` is complete, so pointers into it are now stable.
+  for (size_t h = 0; h < specs.size(); ++h) {
+    for (size_t i = 0; i < handlers[h].size(); ++i) {
+      const std::string& name = specs[h]->ioctls[i].creates_handler;
+      if (name.empty()) continue;
+      const HandlerSpec* target = spec.FindHandler(name);
+      for (size_t sub = 0; sub < specs.size(); ++sub) {
+        if (specs[sub] == target) handlers[h][i].sub_handler = &handlers[sub];
+      }
+    }
+  }
+}
+
+std::shared_ptr<const DeviceImage>
+CompileDevice(const DeviceSpec& dev)
+{
+  return std::make_shared<DeviceImage>(dev);
+}
+
+namespace {
 
 class ModelFile : public FileHandler {
  public:
-  ModelFile(const DeviceRuntime* rt, const HandlerSpec* handler)
-      : rt_(rt), cmds_(rt->CmdsOf(handler)) {}
+  ModelFile(const DeviceImage* image, HandlerPool* pool,
+            const HandlerTable* cmds)
+      : image_(image), pool_(pool), cmds_(cmds) {
+    set_recycler(pool);
+  }
 
   /// Restores freshly-opened state on a pooled object (same observable
-  /// behaviour as constructing a new ModelFile for `handler`).
-  void Reset(const HandlerSpec* handler) {
-    cmds_ = rt_->CmdsOf(handler);
-    engine_ = CommandEngine();
-    executed_ = ExecutedSet();
-    release_bomb_ = false;
-    release_title_.clear();
+  /// behaviour as constructing a new ModelFile for `cmds`).
+  void Reset(const HandlerTable* cmds) {
+    cmds_ = cmds;
+    state_ = FileState();
   }
 
   long Ioctl(uint64_t cmd_value, Buffer* arg, KernelModel& kernel) override {
-    ExecContext& ctx = kernel.context();
     const CmdRuntime* match = MatchCommand(cmd_value);
     if (!match) return -vkernel::kENOTTY;
 
-    if (rt_->dev->dispatch == DispatchStyle::kIocNrSwitch) {
-      // The rendered dispatcher validates the size bits of the full
-      // command; a bare nr value (SyzDescribe's wrong inference) fails.
-      if (!match->cmd->arg_struct.empty() &&
-          ksrc::IocSize(cmd_value) < match->expect_size) {
-        return -vkernel::kEINVAL;
-      }
+    // The rendered _IOC_NR dispatcher validates the size bits of the
+    // full command; a bare nr value (SyzDescribe's wrong inference)
+    // fails.
+    if (image_->dev->dispatch == DispatchStyle::kIocNrSwitch &&
+        ksrc::IocSize(cmd_value) < match->arg_size) {
+      return -vkernel::kEINVAL;
     }
 
-    if (!match->cmd->creates_handler.empty()) {
-      long rc = engine_.RunCommand(*match, arg, ctx, &executed_,
-                                   &release_bomb_, &release_title_);
-      if (rc != 0) return rc;
-      const HandlerSpec* sub =
-          rt_->dev->FindHandler(match->cmd->creates_handler);
-      if (!sub) return -vkernel::kEINVAL;
-      return kernel.InstallFile(AcquireModelFile(rt_, sub));
-    }
-    return engine_.RunCommand(*match, arg, ctx, &executed_, &release_bomb_,
-                              &release_title_);
+    long rc = RunCommand(*match, arg, kernel.context(), &state_);
+    if (rc != 0 || !match->creates_handler) return rc;
+    if (!match->sub_handler) return -vkernel::kEINVAL;
+    return kernel.InstallFile(Acquire(image_, pool_, match->sub_handler));
   }
 
   void Release(KernelModel& kernel) override {
-    if (release_bomb_) kernel.context().Crash(release_title_);
+    if (state_.release_title) kernel.context().Crash(*state_.release_title);
+  }
+
+  /// Pool-aware construction: reuses a recycled file when one is
+  /// available, otherwise allocates one tagged with the pool.
+  static std::shared_ptr<FileHandler> Acquire(const DeviceImage* image,
+                                              HandlerPool* pool,
+                                              const HandlerTable* cmds) {
+    if (std::shared_ptr<FileHandler> pooled = pool->Take()) {
+      static_cast<ModelFile*>(pooled.get())->Reset(cmds);
+      return pooled;
+    }
+    return std::make_shared<ModelFile>(image, pool, cmds);
   }
 
  private:
   const CmdRuntime* MatchCommand(uint64_t cmd_value) const {
-    if (!cmds_) return nullptr;
+    const bool by_nr = image_->dev->dispatch == DispatchStyle::kIocNrSwitch;
+    const uint64_t key = by_nr ? ksrc::IocNr(cmd_value) : cmd_value;
     for (const CmdRuntime& rt : *cmds_) {
-      switch (rt_->dev->dispatch) {
-        case DispatchStyle::kDirectSwitch:
-        case DispatchStyle::kTableLookup:
-          if (rt.match_value == cmd_value) return &rt;
-          break;
-        case DispatchStyle::kIocNrSwitch:
-          if (ksrc::IocNr(cmd_value) == rt.cmd->nr) return &rt;
-          break;
-      }
+      if ((by_nr ? rt.nr : rt.match_value) == key) return &rt;
     }
     return nullptr;
   }
 
-  const DeviceRuntime* rt_;
-  const std::vector<CmdRuntime>* cmds_;
-  CommandEngine engine_;
-  ExecutedSet executed_;
-  bool release_bomb_ = false;
-  std::string release_title_;
+  const DeviceImage* image_;
+  HandlerPool* pool_;
+  const HandlerTable* cmds_;
+  FileState state_;
 };
 
-/// Pool-aware ModelFile construction: reuses a recycled object when one
-/// is available, otherwise allocates and tags it with the pool.
-std::shared_ptr<FileHandler>
-AcquireModelFile(const DeviceRuntime* rt, const HandlerSpec* handler)
-{
-  if (std::shared_ptr<FileHandler> pooled = rt->pool.Take()) {
-    static_cast<ModelFile*>(pooled.get())->Reset(handler);
-    return pooled;
-  }
-  std::shared_ptr<ModelFile> file = std::make_shared<ModelFile>(rt, handler);
-  file->set_recycler(&rt->pool);
-  return file;
-}
-
+/// Per-kernel device instance: a shared image plus this kernel's pool.
 class ModelDevice : public vkernel::DeviceDriver {
  public:
-  explicit ModelDevice(const DeviceSpec* dev) : dev_(dev), runtime_(dev) {}
+  explicit ModelDevice(std::shared_ptr<const DeviceImage> image)
+      : image_(std::move(image)) {}
 
-  std::string Name() const override { return dev_->id; }
-  std::string NodePath() const override { return dev_->dev_node; }
+  std::string Name() const override { return image_->dev->id; }
+  std::string NodePath() const override { return image_->dev->dev_node; }
 
   std::shared_ptr<FileHandler> Open(KernelModel& kernel,
                                     long* err) override {
     (void)err;
-    kernel.context().Cover(runtime_.open_block);
-    return AcquireModelFile(&runtime_, &dev_->primary);
+    kernel.context().Cover(image_->open_block);
+    return ModelFile::Acquire(image_.get(), &pool_, &image_->handlers[0]);
   }
 
  private:
-  const DeviceSpec* dev_;
-  DeviceRuntime runtime_;
+  std::shared_ptr<const DeviceImage> image_;
+  HandlerPool pool_;
 };
+
+/// One setsockopt/getsockopt option with its compiled pseudo-commands.
+struct SockOptRuntime {
+  const SockOptSpec* opt = nullptr;
+  CmdRuntime set_rt;
+  CmdRuntime get_rt;  ///< Its arg_size is the kernel-filled buffer size.
+};
+
+uint64_t
+SocketCommandValue(const IoctlSpec& cmd, uint64_t size)
+{
+  char r = (cmd.ioc_dir == 'r' || cmd.ioc_dir == 'b') ? 'r' : '-';
+  char w = (cmd.ioc_dir == 'w' || cmd.ioc_dir == 'b') ? 'w' : '-';
+  if (cmd.ioc_dir == 'n') size = 0;
+  return ksrc::IoctlNumber(r, w, 0x89, cmd.nr, size);  // SIOC family.
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // Socket side
 // ---------------------------------------------------------------------------
 
-/// One setsockopt/getsockopt option with its precomputed pseudo-commands
-/// (the old code rebuilt the pseudo IoctlSpec — string concatenation and
-/// vector copies included — on every call).
-struct SockOptRuntime {
-  const SockOptSpec* opt = nullptr;
-  IoctlSpec set_pseudo;
-  IoctlSpec get_pseudo;
-  CmdRuntime set_rt;
-  CmdRuntime get_rt;
-  size_t get_need = 0;  ///< Kernel-filled buffer size for the get path.
-};
+/// Immutable compiled runtime of one socket-family spec (see DeviceImage).
+struct SocketImage {
+  explicit SocketImage(const SocketSpec& spec);
+  SocketImage(const SocketImage&) = delete;
+  SocketImage& operator=(const SocketImage&) = delete;
 
-/// One socket-level operation (bind/connect/...) with precomputed blocks.
-struct OpRuntime {
-  const SocketOpSpec* spec = nullptr;
-  uint64_t op_block = 0;
-  std::vector<uint64_t> check_blocks;
-  std::vector<uint64_t> deep_block_ids;
-  int macro_idx = -1;
-  int bug_prior_idx = -1;
-};
-
-/// Per-family precomputed tables, shared by every socket it creates.
-struct SocketRuntime {
   const SocketSpec* sock;
-  BlockLayout blocks;  ///< Dense per-module block ids (spec order).
-  uint64_t create_block;
-  MacroIndex macros;
+  uint64_t create_block = 0;
   std::vector<CmdRuntime> ioctls;
   std::vector<SockOptRuntime> sockopts;
   const StructSpec* addr_spec = nullptr;
-  StructLayout addr_layout;
+  size_t addr_size = 0;
   OpRuntime bind, connect, sendto, recvfrom, listen, accept;
-  /// Recycled ModelSocket objects (see DeviceRuntime::pool).
-  mutable HandlerPool pool;
-
-  explicit SocketRuntime(const SocketSpec* s)
-      : sock(s),
-        blocks(BlockLayout::ForSocket(*s)),
-        create_block(blocks.IdOf("create", "", 0)) {
-    ioctls.resize(s->ioctls.size());
-    for (size_t i = 0; i < s->ioctls.size(); ++i) {
-      FillCmdRuntime(&ioctls[i], blocks, s->ioctls[i], s->structs, &macros);
-      ioctls[i].match_value = SocketCommandValue(s->ioctls[i]);
-    }
-
-    // resize() up front: CmdRuntime::cmd points at the sibling pseudo
-    // spec, so elements must never relocate after FillCmdRuntime.
-    sockopts.resize(s->sockopts.size());
-    for (size_t i = 0; i < s->sockopts.size(); ++i) {
-      SockOptRuntime& so = sockopts[i];
-      so.opt = &s->sockopts[i];
-      so.set_pseudo = PseudoCommand(*so.opt, /*set=*/true);
-      so.get_pseudo = PseudoCommand(*so.opt, /*set=*/false);
-      FillCmdRuntime(&so.set_rt, blocks, so.set_pseudo, s->structs, &macros);
-      FillCmdRuntime(&so.get_rt, blocks, so.get_pseudo, s->structs, &macros);
-      so.get_need = StructByteSize(so.opt->arg_struct, s->structs);
-    }
-
-    if (!s->addr_struct.empty()) {
-      addr_spec = FindStructIn(s->structs, s->addr_struct);
-      if (addr_spec) addr_layout = ComputeLayout(*addr_spec, s->structs);
-    }
-
-    BuildOp(&bind, "bind", s->bind);
-    BuildOp(&connect, "connect", s->connect);
-    BuildOp(&sendto, "sendto", s->sendto);
-    BuildOp(&recvfrom, "recvfrom", s->recvfrom);
-    BuildOp(&listen, "listen", s->listen);
-    BuildOp(&accept, "accept", s->accept);
-  }
-
-  void BuildOp(OpRuntime* rt, const char* op, const SocketOpSpec& spec) {
-    rt->spec = &spec;
-    rt->op_block = blocks.IdOf("op", op, 0);
-    uint32_t idx = 1;
-    for (const CheckSpec& check : spec.checks) {
-      rt->check_blocks.push_back(blocks.IdOf(
-          std::string("op-check-") + op, check.field, idx++));
-    }
-    for (int i = 0; i < spec.deep_blocks; ++i) {
-      rt->deep_block_ids.push_back(blocks.IdOf(
-          std::string("op-deep-") + op, "", static_cast<uint32_t>(i)));
-    }
-    rt->macro_idx = macros.Add(op);
-    if (spec.bug && spec.bug->trigger == BugSpec::Trigger::kSequence) {
-      rt->bug_prior_idx = macros.Add(spec.bug->prior_cmd);
-    }
-  }
-
-  IoctlSpec PseudoCommand(const SockOptSpec& opt, bool set) const {
-    IoctlSpec pseudo;
-    pseudo.macro = (set ? "SET_" : "GET_") + opt.macro;
-    pseudo.arg_struct = opt.arg_struct;
-    pseudo.checks = set ? opt.checks : std::vector<CheckSpec>{};
-    pseudo.deep_blocks = opt.deep_blocks;
-    pseudo.bug = set ? opt.bug : std::nullopt;
-    return pseudo;
-  }
-
-  uint64_t SocketCommandValue(const IoctlSpec& cmd) const {
-    uint64_t size = StructByteSize(cmd.arg_struct, sock->structs);
-    char r = (cmd.ioc_dir == 'r' || cmd.ioc_dir == 'b') ? 'r' : '-';
-    char w = (cmd.ioc_dir == 'w' || cmd.ioc_dir == 'b') ? 'w' : '-';
-    if (cmd.ioc_dir == 'n') size = 0;
-    return ksrc::IoctlNumber(r, w, 0x89, cmd.nr, size);  // SIOC family.
-  }
 };
+
+SocketImage::SocketImage(const SocketSpec& spec) : sock(&spec)
+{
+  ModuleCompiler compiler(spec.structs, BlockLayout::ForSocket(spec));
+  create_block = compiler.Block("create", "", 0);
+  for (const IoctlSpec& cmd : spec.ioctls) {
+    ioctls.push_back(compiler.Command(cmd));
+    ioctls.back().match_value =
+        SocketCommandValue(cmd, ioctls.back().arg_size);
+  }
+  for (const SockOptSpec& opt : spec.sockopts) {
+    SockOptRuntime so;
+    so.opt = &opt;
+    so.set_rt = compiler.Command("SET_" + opt.macro, opt.arg_struct,
+                                 opt.checks, opt.deep_blocks,
+                                 opt.bug ? &*opt.bug : nullptr);
+    so.get_rt = compiler.Command("GET_" + opt.macro, opt.arg_struct, {},
+                                 opt.deep_blocks, nullptr);
+    sockopts.push_back(std::move(so));
+  }
+
+  StructLayout addr_layout;
+  addr_spec = FindStructIn(spec.structs, spec.addr_struct);
+  if (addr_spec) {
+    addr_layout = ComputeLayout(*addr_spec, spec.structs);
+    addr_size = addr_layout.total_size;
+  }
+  bind = compiler.Op("bind", spec.bind, addr_spec, addr_layout);
+  connect = compiler.Op("connect", spec.connect, addr_spec, addr_layout);
+  sendto = compiler.Op("sendto", spec.sendto, addr_spec, addr_layout);
+  recvfrom = compiler.Op("recvfrom", spec.recvfrom, addr_spec, addr_layout);
+  listen = compiler.Op("listen", spec.listen, addr_spec, addr_layout);
+  accept = compiler.Op("accept", spec.accept, addr_spec, addr_layout);
+}
+
+std::shared_ptr<const SocketImage>
+CompileSocket(const SocketSpec& sock)
+{
+  return std::make_shared<SocketImage>(sock);
+}
+
+namespace {
 
 class ModelSocket : public vkernel::SocketHandler {
  public:
-  explicit ModelSocket(const SocketRuntime* rt) : rt_(rt) {}
+  explicit ModelSocket(const SocketImage* image) : image_(image) {}
 
   /// Restores freshly-created state on a pooled object.
-  void Reset() {
-    engine_ = CommandEngine();
-    executed_ = ExecutedSet();
-    release_bomb_ = false;
-    release_title_.clear();
-  }
+  void Reset() { state_ = FileState(); }
 
   long SetSockOpt(uint64_t level, uint64_t optname, const Buffer& val,
                   KernelModel& kernel) override {
-    ExecContext& ctx = kernel.context();
-    if (level != rt_->sock->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const SockOptRuntime& so : rt_->sockopts) {
+    if (level != image_->sock->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const SockOptRuntime& so : image_->sockopts) {
       if (!so.opt->settable || so.opt->value != optname) continue;
       Buffer copy = val;  // Views copy cheaply; writes materialize.
-      return engine_.RunCommand(so.set_rt, &copy, ctx, &executed_,
-                                &release_bomb_, &release_title_);
+      return RunCommand(so.set_rt, &copy, kernel.context(), &state_);
     }
     return -vkernel::kENOPROTOOPT;
   }
 
   long GetSockOpt(uint64_t level, uint64_t optname, Buffer* val,
                   KernelModel& kernel) override {
-    ExecContext& ctx = kernel.context();
-    if (level != rt_->sock->sol_level) return -vkernel::kENOPROTOOPT;
-    for (const SockOptRuntime& so : rt_->sockopts) {
+    if (level != image_->sock->sol_level) return -vkernel::kENOPROTOOPT;
+    for (const SockOptRuntime& so : image_->sockopts) {
       if (!so.opt->gettable || so.opt->value != optname) continue;
       // get path: kernel fills the buffer; size it to the struct.
-      if (val && val->size() < so.get_need) val->Resize(so.get_need);
-      return engine_.RunCommand(so.get_rt, val, ctx, &executed_,
-                                &release_bomb_, &release_title_);
+      if (val && val->size() < so.get_rt.arg_size) {
+        val->Resize(so.get_rt.arg_size);
+      }
+      return RunCommand(so.get_rt, val, kernel.context(), &state_);
     }
     return -vkernel::kENOPROTOOPT;
   }
 
   long Ioctl(uint64_t cmd_value, Buffer* arg, KernelModel& kernel) override {
-    ExecContext& ctx = kernel.context();
-    for (const CmdRuntime& rt : rt_->ioctls) {
+    for (const CmdRuntime& rt : image_->ioctls) {
       if (rt.match_value == cmd_value) {
-        return engine_.RunCommand(rt, arg, ctx, &executed_, &release_bomb_,
-                                  &release_title_);
+        return RunCommand(rt, arg, kernel.context(), &state_);
       }
     }
     return -vkernel::kENOTTY;
   }
 
   long Bind(const Buffer& addr, KernelModel& kernel) override {
-    return RunOp(rt_->bind, addr, kernel.context());
+    return RunOp(image_->bind, addr, kernel.context());
   }
 
   long Connect(const Buffer& addr, KernelModel& kernel) override {
-    return RunOp(rt_->connect, addr, kernel.context());
+    return RunOp(image_->connect, addr, kernel.context());
   }
 
   long SendTo(const Buffer& data, const Buffer& addr,
               KernelModel& kernel) override {
     (void)data;
-    return RunOp(rt_->sendto, addr, kernel.context());
+    return RunOp(image_->sendto, addr, kernel.context());
   }
 
   long RecvFrom(Buffer* data, KernelModel& kernel) override {
     if (data) data->Resize(64);
-    Buffer empty;
-    return RunOp(rt_->recvfrom, empty, kernel.context());
+    return RunOp(image_->recvfrom, Buffer(), kernel.context());
   }
 
   long Listen(KernelModel& kernel) override {
-    Buffer empty;
-    return RunOp(rt_->listen, empty, kernel.context());
+    return RunOp(image_->listen, Buffer(), kernel.context());
   }
 
   long Accept(KernelModel& kernel) override {
-    Buffer empty;
-    return RunOp(rt_->accept, empty, kernel.context());
+    return RunOp(image_->accept, Buffer(), kernel.context());
   }
 
   void Release(KernelModel& kernel) override {
-    if (release_bomb_) kernel.context().Crash(release_title_);
+    if (state_.release_title) kernel.context().Crash(*state_.release_title);
   }
 
  private:
   long RunOp(const OpRuntime& rt, const Buffer& addr, ExecContext& ctx) {
-    const SocketOpSpec& spec = *rt.spec;
-    if (!spec.supported) return -vkernel::kEOPNOTSUPP;
+    if (!rt.supported) return -vkernel::kEOPNOTSUPP;
     ctx.Cover(rt.op_block);
-    const StructSpec* addr_spec = rt_->addr_spec;
-    const StructLayout& layout = rt_->addr_layout;
-    if (addr_spec && !spec.checks.empty()) {
-      if (addr.size() < layout.total_size) return -vkernel::kEFAULT;
-      for (size_t k = 0; k < spec.checks.size(); ++k) {
-        if (!CheckPasses(spec.checks[k], addr, layout, addr_spec)) {
-          return -vkernel::kEINVAL;
-        }
-        ctx.Cover(rt.check_blocks[k]);
+    const bool has_addr = image_->addr_spec != nullptr;
+    if (has_addr && !rt.checks.empty()) {
+      if (addr.size() < image_->addr_size) return -vkernel::kEFAULT;
+      for (const CompiledCheck& check : rt.checks) {
+        if (!CheckPasses(check, addr)) return -vkernel::kEINVAL;
+        ctx.Cover(check.block);
       }
     }
-    if (spec.bug) {
-      const BugSpec& bug = *spec.bug;
-      bool fire = false;
-      switch (bug.trigger) {
-        case BugSpec::Trigger::kFieldAtLeast:
-          fire = addr_spec && ReadField(addr, layout, bug.field) >= bug.value;
-          break;
-        case BugSpec::Trigger::kFieldZero:
-          fire = addr_spec && ReadField(addr, layout, bug.field) == 0;
-          break;
-        case BugSpec::Trigger::kFieldEquals:
-          fire = addr_spec && ReadField(addr, layout, bug.field) == bug.value;
-          break;
-        case BugSpec::Trigger::kSequence:
-          fire = executed_.Test(rt.bug_prior_idx);
-          break;
-        case BugSpec::Trigger::kOnRelease:
-          release_bomb_ = true;
-          release_title_ = bug.title;
-          break;
-        case BugSpec::Trigger::kAlways:
-          fire = true;
-          break;
-      }
-      if (fire) ctx.Crash(bug.title);
-    }
+    TriggerBug(rt.bug, has_addr ? &addr : nullptr, &state_, ctx);
     for (uint64_t block : rt.deep_block_ids) ctx.Cover(block);
-    executed_.Set(rt.macro_idx);
+    state_.executed.Set(rt.macro_idx);
     return 0;
   }
 
-  const SocketRuntime* rt_;
-  CommandEngine engine_;
-  ExecutedSet executed_;
-  bool release_bomb_ = false;
-  std::string release_title_;
+  const SocketImage* image_;
+  FileState state_;
 };
 
+/// Per-kernel socket-family instance: a shared image plus this kernel's
+/// pool.
 class ModelSocketFamily : public vkernel::SocketFamily {
  public:
-  explicit ModelSocketFamily(const SocketSpec* sock)
-      : sock_(sock), runtime_(sock) {}
+  explicit ModelSocketFamily(std::shared_ptr<const SocketImage> image)
+      : image_(std::move(image)) {}
 
-  std::string Name() const override { return sock_->id; }
-  uint64_t Domain() const override { return sock_->domain; }
+  std::string Name() const override { return image_->sock->id; }
+  uint64_t Domain() const override { return image_->sock->domain; }
 
   std::shared_ptr<vkernel::SocketHandler> Create(uint64_t type,
                                                  uint64_t protocol,
                                                  KernelModel& kernel,
                                                  long* err) override {
-    if (sock_->sock_type != 0 && type != sock_->sock_type) {
+    const SocketSpec& spec = *image_->sock;
+    if ((spec.sock_type != 0 && type != spec.sock_type) ||
+        (spec.protocol != 0 && protocol != spec.protocol)) {
       *err = -vkernel::kEINVAL;
       return nullptr;
     }
-    if (sock_->protocol != 0 && protocol != sock_->protocol) {
-      *err = -vkernel::kEINVAL;
-      return nullptr;
-    }
-    kernel.context().Cover(runtime_.create_block);
-    if (std::shared_ptr<FileHandler> pooled = runtime_.pool.Take()) {
+    kernel.context().Cover(image_->create_block);
+    if (std::shared_ptr<FileHandler> pooled = pool_.Take()) {
       auto* sock = static_cast<ModelSocket*>(pooled.get());
       sock->Reset();
       return std::shared_ptr<vkernel::SocketHandler>(std::move(pooled),
                                                      sock);
     }
-    std::shared_ptr<ModelSocket> sock =
-        std::make_shared<ModelSocket>(&runtime_);
-    sock->set_recycler(&runtime_.pool);
+    auto sock = std::make_shared<ModelSocket>(image_.get());
+    sock->set_recycler(&pool_);
     return sock;
   }
 
  private:
-  const SocketSpec* sock_;
-  SocketRuntime runtime_;
+  std::shared_ptr<const SocketImage> image_;
+  HandlerPool pool_;
 };
 
 }  // namespace
 
 std::unique_ptr<vkernel::DeviceDriver>
-MakeModelDevice(const DeviceSpec* dev)
+MakeModelDevice(std::shared_ptr<const DeviceImage> image)
 {
-  return std::make_unique<ModelDevice>(dev);
+  return std::make_unique<ModelDevice>(std::move(image));
 }
 
 std::unique_ptr<vkernel::SocketFamily>
-MakeModelSocketFamily(const SocketSpec* sock)
+MakeModelSocketFamily(std::shared_ptr<const SocketImage> image)
 {
-  return std::make_unique<ModelSocketFamily>(sock);
+  return std::make_unique<ModelSocketFamily>(std::move(image));
 }
 
 }  // namespace kernelgpt::drivers

@@ -1,9 +1,10 @@
 /// \file
-/// Runtime interpretation of driver/socket models: turns a DeviceSpec or
-/// SocketSpec into live vkernel drivers. The interpreter enforces exactly
-/// the validation logic the rendered source describes (same command
-/// matching, same copy sizes, same checks, same bugs), so source analysis
-/// and runtime behaviour cannot diverge.
+/// Runtime interpretation of driver/socket models: compiles a DeviceSpec
+/// or SocketSpec into an immutable image, then instantiates live vkernel
+/// drivers over it, one cheap instance per kernel boot. The interpreter
+/// enforces exactly the validation logic the rendered source describes
+/// (same command matching, same copy sizes, same checks, same bugs), so
+/// source analysis and runtime behaviour cannot diverge.
 
 #ifndef KERNELGPT_DRIVERS_MODEL_RUNTIME_H_
 #define KERNELGPT_DRIVERS_MODEL_RUNTIME_H_
@@ -77,17 +78,29 @@ class BlockLayout {
   uint32_t next_ = 0;
 };
 
-/// Total number of distinct coverage blocks a device can produce — used
-/// by tests to bound observed coverage.
-size_t MaxBlocksOf(const DeviceSpec& dev);
+/// Immutable compiled runtime of one device or socket-family spec: its
+/// command tables, struct layouts with every check and bug field
+/// resolved, match values, macro numbering and dense block ids. Built
+/// once per process and shared, read-only, by every kernel on every
+/// thread; each kernel's instance adds only mutable state (its handler
+/// pool, and per-file state in the handlers it issues).
+struct DeviceImage;
+struct SocketImage;
 
-/// Creates a virtual-kernel driver interpreting `dev`. The spec must
-/// outlive the kernel (corpus specs are stored in a registry).
-std::unique_ptr<vkernel::DeviceDriver> MakeModelDevice(const DeviceSpec* dev);
+/// Compiles `dev` into its image. The spec must outlive the image
+/// (corpus specs live in the process-wide registry).
+std::shared_ptr<const DeviceImage> CompileDevice(const DeviceSpec& dev);
 
-/// Creates a virtual-kernel socket family interpreting `sock`.
+/// Compiles `sock` into its image; the spec must outlive it.
+std::shared_ptr<const SocketImage> CompileSocket(const SocketSpec& sock);
+
+/// Creates a per-kernel virtual-kernel driver over a compiled image.
+std::unique_ptr<vkernel::DeviceDriver> MakeModelDevice(
+    std::shared_ptr<const DeviceImage> image);
+
+/// Creates a per-kernel socket family over a compiled image.
 std::unique_ptr<vkernel::SocketFamily> MakeModelSocketFamily(
-    const SocketSpec* sock);
+    std::shared_ptr<const SocketImage> image);
 
 }  // namespace kernelgpt::drivers
 

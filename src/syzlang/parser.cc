@@ -7,6 +7,22 @@ namespace kernelgpt::syzlang {
 
 namespace {
 
+/// Bit width of a syzlang int type name (0 for intptr); false for any
+/// other name, so "integer", "int08" or "int99999999999" are rejected.
+bool
+IntTypeBits(const std::string& name, int* bits)
+{
+  static const std::pair<const char*, int> kIntTypes[] = {
+      {"int8", 8}, {"int16", 16}, {"int32", 32}, {"int64", 64}, {"intptr", 0}};
+  for (const auto& [type, width] : kIntTypes) {
+    if (name == type) {
+      *bits = width;
+      return true;
+    }
+  }
+  return false;
+}
+
 /// Stateful token-stream parser with one-declaration error recovery.
 class Parser {
  public:
@@ -238,9 +254,8 @@ class Parser {
     }
     const std::string name = Advance().text;
 
-    if (name == "int8" || name == "int16" || name == "int32" ||
-        name == "int64" || name == "intptr") {
-      int bits = name == "intptr" ? 0 : std::atoi(name.c_str() + 3);
+    int bits = 0;
+    if (IntTypeBits(name, &bits)) {
       *out = Type::Int(bits);
       // Optional [lo:hi] range.
       if (Check(TokKind::kLBrack)) {
@@ -301,11 +316,7 @@ class Parser {
       return false;
     }
     const std::string t = Advance().text;
-    if (t == "intptr") {
-      *bits = 0;
-    } else if (util::StartsWith(t, "int")) {
-      *bits = std::atoi(t.c_str() + 3);
-    } else {
+    if (!IntTypeBits(t, bits)) {
       Error(util::Format("expected int type, got '%s'", t.c_str()));
       return false;
     }

@@ -207,7 +207,7 @@ TEST(GroundTruthTest, RdsExistingSubsetLacksSendto)
 class DmRuntimeTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    kernel_.RegisterDevice(MakeModelDevice(&Dm()));
+    kernel_.RegisterDevice(MakeModelDevice(CompileDevice(Dm())));
     kernel_.BeginProgram();
   }
 
@@ -313,7 +313,7 @@ TEST(SequenceBugTest, CecUafNeedsTransmitThenReceive)
   const DeviceSpec* cec = Corpus::Instance().FindDevice("cec");
   ASSERT_NE(cec, nullptr);
   vkernel::Kernel kernel;
-  kernel.RegisterDevice(MakeModelDevice(cec));
+  kernel.RegisterDevice(MakeModelDevice(CompileDevice(*cec)));
   kernel.BeginProgram();
   vkernel::Coverage cov;
   vkernel::ExecContext ctx(&cov);
@@ -357,7 +357,7 @@ TEST(SecondaryHandlerTest, KvmCreateVmReturnsUsableFd)
 {
   const DeviceSpec* kvm = Corpus::Instance().FindDevice("kvm");
   vkernel::Kernel kernel;
-  kernel.RegisterDevice(MakeModelDevice(kvm));
+  kernel.RegisterDevice(MakeModelDevice(CompileDevice(*kvm)));
   kernel.BeginProgram();
   vkernel::Coverage cov;
   vkernel::ExecContext ctx(&cov);
@@ -472,7 +472,7 @@ TEST_P(AllSocketsTest, SocketCreationWorksAtRuntime)
 {
   const SocketSpec* sock = Corpus::Instance().FindSocket(GetParam());
   vkernel::Kernel kernel;
-  kernel.RegisterSocketFamily(MakeModelSocketFamily(sock));
+  kernel.RegisterSocketFamily(MakeModelSocketFamily(CompileSocket(*sock)));
   kernel.BeginProgram();
   vkernel::Coverage cov;
   vkernel::ExecContext ctx(&cov);

@@ -1,14 +1,17 @@
-// Tests for the hot-path execution engine (PR 2): opcode dispatch parity
+// Tests for the hot-path execution engine: opcode dispatch parity
 // against the legacy string-comparison chain, dense-coverage equivalence
-// with set semantics, zero-copy buffer behaviour, and the per-program
-// reset (a program's outcome never depends on what ran before it).
+// with set semantics, zero-copy buffer behaviour, the per-program reset
+// (a program's outcome never depends on what ran before it), and the
+// module images every boot shares (equivalence, isolation, concurrency).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <thread>
 #include <unordered_set>
 
 #include "drivers/corpus.h"
+#include "drivers/model_runtime.h"
 #include "drivers/model_spec.h"
 #include "experiments/context.h"
 #include "fuzzer/campaign.h"
@@ -17,6 +20,7 @@
 #include "util/rng.h"
 #include "vkernel/coverage.h"
 #include "vkernel/kernel.h"
+#include "vnet/inet.h"
 
 namespace kernelgpt::fuzzer {
 namespace {
@@ -34,7 +38,115 @@ class HotPathTest : public ::testing::Test {
   }
 
   static void Boot(vkernel::KernelModel* kernel) { Context().BootKernel(kernel); }
+
+  /// The driver suite plus the ground-truth tcp/udp specs.
+  static SpecLibrary MixedLibrary() {
+    std::vector<syzlang::SpecFile> net = NetSpecs();
+    std::vector<const syzlang::SpecFile*> specs = {&net[0], &net[1]};
+    for (const auto& m : Context().modules()) {
+      specs.push_back(&m.existing);
+      if (m.KernelGptUsable()) specs.push_back(&m.kernelgpt.spec);
+    }
+    return Context().MakeLibrary(specs);
+  }
+
+  /// `count` programs over MixedLibrary(). Net syscalls are a small
+  /// share of the suite, so every other program is built from them
+  /// alone: those leave ports, bindings and TIME_WAIT behind.
+  static std::vector<Prog> MixedPrograms(const SpecLibrary& lib, int count,
+                                         uint64_t seed) {
+    std::unordered_set<std::string> net_names;
+    for (const syzlang::SpecFile& spec : NetSpecs()) {
+      for (const syzlang::SyscallDef* def : spec.Syscalls()) {
+        net_names.insert(def->name);
+      }
+    }
+    std::vector<size_t> net_calls;
+    for (size_t i = 0; i < lib.syscalls().size(); ++i) {
+      if (net_names.count(lib.syscalls()[i].name)) net_calls.push_back(i);
+    }
+    EXPECT_FALSE(net_calls.empty());
+
+    util::Rng rng(seed);
+    Generator generator(&lib, &rng);
+    std::vector<Prog> progs;
+    for (int i = 0; i < count; ++i) {
+      Prog prog;
+      if (i % 2 == 0 || net_calls.empty()) {
+        prog = generator.Generate(8);
+      } else {
+        for (int n = 0; n < 8; ++n) {
+          generator.AppendCall(&prog, net_calls[rng.Below(net_calls.size())]);
+        }
+      }
+      if (!prog.empty()) progs.push_back(std::move(prog));
+    }
+    return progs;
+  }
+
+  /// Boots like Corpus::RegisterAll, but from module images compiled
+  /// here for this kernel alone instead of the process-wide shared ones.
+  static void BootFromPrivateImages(vkernel::KernelModel* kernel) {
+    const drivers::Corpus& corpus = drivers::Corpus::Instance();
+    for (const drivers::DeviceSpec* dev : corpus.LoadedDevices()) {
+      kernel->RegisterDevice(
+          drivers::MakeModelDevice(drivers::CompileDevice(*dev)));
+    }
+    for (const drivers::SocketSpec* sock : corpus.LoadedSockets()) {
+      if (!sock->vnet) {
+        kernel->RegisterSocketFamily(
+            drivers::MakeModelSocketFamily(drivers::CompileSocket(*sock)));
+        continue;
+      }
+      vnet::VnetPolicy policy = vnet::VnetPolicy::FromModel(kernel);
+      kernel->RegisterSocketFamily(sock->id == "tcp"
+                                       ? vnet::MakeTcpFamily(sock, policy)
+                                       : vnet::MakeUdpFamily(sock, policy));
+    }
+  }
+
+ private:
+  static std::vector<syzlang::SpecFile> NetSpecs() {
+    const drivers::Corpus& corpus = drivers::Corpus::Instance();
+    return {drivers::GroundTruthSocketSpec(*corpus.FindSocket("tcp")),
+            drivers::GroundTruthSocketSpec(*corpus.FindSocket("udp"))};
+  }
 };
+
+/// What one program observably does: its crash, per-call results,
+/// end-of-program fd and module state, and coverage signature.
+struct Outcome {
+  std::string crash_title;
+  ExecTrace trace;
+  std::unordered_set<uint64_t> signature;
+};
+
+Outcome
+RunOne(Executor* executor, const Prog& prog)
+{
+  Outcome out;
+  vkernel::Coverage signature;
+  out.crash_title = executor->Run(prog, &signature, &out.trace).crash_title;
+  out.signature = signature.blocks();
+  return out;
+}
+
+/// Failure text naming the first field in which `got` differs from
+/// `want`; empty when the outcomes are identical.
+std::string
+OutcomeDiff(const Outcome& got, const Outcome& want)
+{
+  if (got.crash_title != want.crash_title) {
+    return "crash '" + got.crash_title + "' vs '" + want.crash_title + "'";
+  }
+  if (got.trace.results != want.trace.results) return "per-call results";
+  if (got.trace.end_shape != want.trace.end_shape) return "end fd shape";
+  if (got.trace.module_state != want.trace.module_state) {
+    return "module state";
+  }
+  if (got.signature != want.signature) return "coverage signature";
+  return "";
+}
 
 // ---------------------------------------------------------------------------
 // Opcode dispatch
@@ -312,73 +424,159 @@ TEST_F(HotPathTest, BufferViewReadsWithoutCopyAndMaterializesOnWrite)
 // signature either way.
 TEST_F(HotPathTest, LongLivedKernelMatchesFreshBootPerProgram)
 {
-  const drivers::Corpus& corpus = drivers::Corpus::Instance();
-  std::vector<syzlang::SpecFile> net = {
-      drivers::GroundTruthSocketSpec(*corpus.FindSocket("tcp")),
-      drivers::GroundTruthSocketSpec(*corpus.FindSocket("udp"))};
-  std::vector<const syzlang::SpecFile*> specs = {&net[0], &net[1]};
-  for (const auto& m : Context().modules()) {
-    specs.push_back(&m.existing);
-    if (m.KernelGptUsable()) specs.push_back(&m.kernelgpt.spec);
-  }
-  SpecLibrary lib = Context().MakeLibrary(specs);
-
-  // Net syscalls are a small share of the suite, so every other program
-  // is built from them alone: those leave ports, bindings and TIME_WAIT
-  // behind for the reset to clear.
-  std::unordered_set<std::string> net_names;
-  for (const syzlang::SpecFile& spec : net) {
-    for (const syzlang::SyscallDef* def : spec.Syscalls()) {
-      net_names.insert(def->name);
-    }
-  }
-  std::vector<size_t> net_calls;
-  for (size_t i = 0; i < lib.syscalls().size(); ++i) {
-    if (net_names.count(lib.syscalls()[i].name)) net_calls.push_back(i);
-  }
-  ASSERT_FALSE(net_calls.empty());
-
-  util::Rng rng(606);
-  Generator generator(&lib, &rng);
-  std::vector<Prog> progs;
-  for (int i = 0; i < 300; ++i) {
-    Prog prog;
-    if (i % 2 == 0) {
-      prog = generator.Generate(8);
-    } else {
-      for (int n = 0; n < 8; ++n) {
-        generator.AppendCall(&prog, net_calls[rng.Below(net_calls.size())]);
-      }
-    }
-    if (!prog.empty()) progs.push_back(std::move(prog));
-  }
+  SpecLibrary lib = MixedLibrary();
+  std::vector<Prog> progs = MixedPrograms(lib, 300, 606);
 
   vkernel::Kernel long_lived;
   Boot(&long_lived);
   Executor long_exec(&long_lived, &lib);
   size_t non_empty_module_states = 0;
   for (size_t i = 0; i < progs.size(); ++i) {
-    vkernel::Coverage long_sig;
-    ExecTrace long_trace;
-    ExecResult got = long_exec.Run(progs[i], &long_sig, &long_trace);
+    Outcome got = RunOne(&long_exec, progs[i]);
 
     vkernel::Kernel fresh;
     Boot(&fresh);
-    vkernel::Coverage fresh_sig;
-    ExecTrace fresh_trace;
-    ExecResult want =
-        Executor(&fresh, &lib).Run(progs[i], &fresh_sig, &fresh_trace);
+    Executor fresh_exec(&fresh, &lib);
+    Outcome want = RunOne(&fresh_exec, progs[i]);
 
-    EXPECT_EQ(got.crash_title, want.crash_title) << "program " << i;
-    EXPECT_EQ(long_trace.results, fresh_trace.results) << "program " << i;
-    EXPECT_EQ(long_trace.end_shape, fresh_trace.end_shape) << "program " << i;
-    EXPECT_EQ(long_trace.module_state, fresh_trace.module_state)
-        << "program " << i;
-    EXPECT_EQ(long_sig.blocks(), fresh_sig.blocks()) << "program " << i;
-    if (!fresh_trace.module_state.empty()) ++non_empty_module_states;
+    EXPECT_EQ(OutcomeDiff(got, want), "") << "program " << i;
+    if (!want.trace.module_state.empty()) ++non_empty_module_states;
   }
   // The stream must leave net state behind for the reset to clear.
   EXPECT_GT(non_empty_module_states, progs.size() / 4);
+}
+
+// ---------------------------------------------------------------------------
+// Shared module images
+// ---------------------------------------------------------------------------
+
+// RegisterAll instantiates drivers over images compiled once per
+// process. A kernel booted that way must behave exactly like one whose
+// images were compiled privately for it.
+TEST_F(HotPathTest, SharedImagesMatchPrivatelyCompiledImages)
+{
+  SpecLibrary lib = MixedLibrary();
+  std::vector<Prog> progs = MixedPrograms(lib, 300, 1313);
+
+  vkernel::Kernel shared;
+  Boot(&shared);
+  vkernel::Kernel own;
+  BootFromPrivateImages(&own);
+  ASSERT_EQ(shared.devices().size(), own.devices().size());
+  ASSERT_EQ(shared.socket_families().size(), own.socket_families().size());
+  Executor shared_exec(&shared, &lib);
+  Executor own_exec(&own, &lib);
+  size_t crashed = 0;
+  for (size_t i = 0; i < progs.size(); ++i) {
+    Outcome got = RunOne(&shared_exec, progs[i]);
+    Outcome want = RunOne(&own_exec, progs[i]);
+    EXPECT_EQ(OutcomeDiff(got, want), "") << "program " << i;
+    if (!want.crash_title.empty()) ++crashed;
+  }
+  EXPECT_GT(crashed, 0u);  // Bug paths are part of the comparison.
+}
+
+// Two kernels sharing the images run one interleaved stream: each
+// program must do exactly what it does on a kernel with private images,
+// and no pooled handler may cross from one kernel to the other — the
+// per-kernel pool and per-file state must never live in the image.
+TEST_F(HotPathTest, KernelsSharingImagesStayIsolated)
+{
+  SpecLibrary lib = MixedLibrary();
+  std::vector<Prog> progs = MixedPrograms(lib, 200, 4242);
+
+  vkernel::Kernel a;
+  vkernel::Kernel b;
+  Boot(&a);
+  Boot(&b);
+  vkernel::Kernel solo;
+  BootFromPrivateImages(&solo);
+  Executor exec_a(&a, &lib);
+  Executor exec_b(&b, &lib);
+  Executor exec_solo(&solo, &lib);
+  for (size_t i = 0; i < progs.size(); ++i) {
+    Outcome got = RunOne(i % 2 == 0 ? &exec_a : &exec_b, progs[i]);
+    Outcome want = RunOne(&exec_solo, progs[i]);
+    EXPECT_EQ(OutcomeDiff(got, want), "") << "program " << i;
+  }
+
+  // What one kernel recycles only that kernel reissues.
+  const drivers::Corpus& corpus = drivers::Corpus::Instance();
+  vkernel::Coverage cov;
+  vkernel::ExecContext ctx(&cov);
+  auto open_close = [&ctx](vkernel::Kernel* k, auto open) {
+    k->BeginProgram();
+    long fd = open(k);
+    EXPECT_GE(fd, 0);
+    const vkernel::FileHandler* handler = k->LookupFd(fd);
+    k->Close(fd, ctx);
+    return handler;
+  };
+  for (const drivers::DeviceSpec* dev : corpus.LoadedDevices()) {
+    auto open = [&](vkernel::Kernel* k) {
+      return k->Openat(dev->dev_node, 0, ctx).retval;
+    };
+    const vkernel::FileHandler* from_a = open_close(&a, open);
+    EXPECT_NE(open_close(&b, open), from_a) << dev->id;
+    EXPECT_EQ(open_close(&a, open), from_a) << dev->id;
+  }
+  for (const drivers::SocketSpec* sock : corpus.LoadedSockets()) {
+    if (sock->vnet) continue;
+    auto open = [&](vkernel::Kernel* k) {
+      uint64_t type = sock->sock_type ? sock->sock_type : 2;
+      return k->Socket(sock->domain, type, sock->protocol, ctx).retval;
+    };
+    const vkernel::FileHandler* from_a = open_close(&a, open);
+    EXPECT_NE(open_close(&b, open), from_a) << sock->id;
+    EXPECT_EQ(open_close(&a, open), from_a) << sock->id;
+  }
+}
+
+// Eight threads boot kernels over the shared images and run programs at
+// the same time (the TSan job runs this suite); every thread must see
+// the single-threaded outcomes.
+TEST_F(HotPathTest, ConcurrentBootsOverSharedImagesAgree)
+{
+  SpecLibrary lib = MixedLibrary();
+  std::vector<Prog> progs = MixedPrograms(lib, 60, 77);
+
+  std::vector<Outcome> want;
+  {
+    vkernel::Kernel kernel;
+    BootFromPrivateImages(&kernel);
+    Executor executor(&kernel, &lib);
+    for (const Prog& prog : progs) want.push_back(RunOne(&executor, prog));
+  }
+
+  constexpr int kThreads = 8;
+  std::vector<std::vector<Outcome>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Two boots per thread: the second reuses the images while other
+      // threads are still booting and executing.
+      for (int boot = 0; boot < 2; ++boot) {
+        auto kernel = vkernel::MakeStrictModel();
+        drivers::Corpus::Instance().RegisterAll(kernel.get());
+        Executor executor(kernel.get(), &lib);
+        for (size_t i = boot; i < progs.size(); i += 2) {
+          got[t].push_back(RunOne(&executor, progs[i]));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), progs.size()) << "thread " << t;
+    size_t k = 0;
+    for (int boot = 0; boot < 2; ++boot) {
+      for (size_t i = boot; i < progs.size(); i += 2, ++k) {
+        EXPECT_EQ(OutcomeDiff(got[t][k], want[i]), "")
+            << "thread " << t << " program " << i;
+      }
+    }
+  }
 }
 
 TEST_F(HotPathTest, RunBatchMatchesIndividualRuns)

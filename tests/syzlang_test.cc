@@ -127,6 +127,23 @@ TEST(ParserTest, IntRange)
   EXPECT_EQ(call->params[0].type.range_hi, 3);
 }
 
+TEST(ParserTest, RejectsBogusIntSizes)
+{
+  for (const char* src :
+       {"f$x(a const[1, integer])\n", "f$x(a flags[f, intx])\n",
+        "f$x(a const[1, int08])\n", "f$x(a const[1, int99999999999])\n"}) {
+    ParseResult r = Parse(src);
+    EXPECT_FALSE(r.ok()) << src;
+    EXPECT_EQ(r.spec.FindSyscall("f$x"), nullptr) << src;
+  }
+  // Every real size still parses.
+  for (const char* src : {"f$x(a const[1, int8])\n", "f$x(a const[1, int16])\n",
+                          "f$x(a const[1, int32])\n", "f$x(a const[1, int64])\n",
+                          "f$x(a const[1, intptr])\n", "f$x(a const[1])\n"}) {
+    EXPECT_TRUE(Parse(src).ok()) << src;
+  }
+}
+
 TEST(ParserTest, UnionParses)
 {
   ParseResult r = Parse("u [\n\ta int32\n\tb array[int8, 4]\n]\n");
