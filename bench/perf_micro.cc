@@ -140,6 +140,52 @@ BM_KernelBoot(benchmark::State& state)
 }
 BENCHMARK(BM_KernelBoot)->UseRealTime();
 
+/// Program generation plus one mutation, as the campaign loop does it:
+/// Generate into one reused Prog, then Mutate it in place. Items =
+/// programs, in real time.
+void
+BM_GenerateMutate(benchmark::State& state)
+{
+  const auto& context = experiments::ExperimentContext::Default();
+  fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
+  util::Rng rng(42);
+  fuzzer::Generator generator(&lib, &rng);
+  fuzzer::Mutator mutator(&lib, &generator, &rng);
+  fuzzer::Prog prog;
+  for (auto _ : state) {
+    generator.Generate(6, &prog);
+    mutator.Mutate(&prog);
+    benchmark::DoNotOptimize(prog.bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_GenerateMutate)->UseRealTime();
+
+/// Copy-assigning a corpus program into the campaign's working Prog —
+/// the first step of every mutate iteration. Cycles through 256
+/// generated programs. Items = copies, in real time.
+void
+BM_ProgCopy(benchmark::State& state)
+{
+  const auto& context = experiments::ExperimentContext::Default();
+  fuzzer::SpecLibrary lib = context.SyzkallerPlusKernelGptSuite();
+  util::Rng rng(42);
+  fuzzer::Generator generator(&lib, &rng);
+  std::vector<fuzzer::Prog> corpus;
+  for (int i = 0; i < 256; ++i) corpus.push_back(generator.Generate(6));
+  fuzzer::Prog prog;
+  size_t next = 0;
+  for (auto _ : state) {
+    prog = corpus[next];
+    next = (next + 1) % corpus.size();
+    benchmark::DoNotOptimize(prog.bytes.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ProgCopy)->UseRealTime();
+
 /// Per-open cost of the vkernel open path: open + close of a model
 /// device in steady state, where the handler pool (PR 4) serves every
 /// open from its free list — zero allocations per iteration. Items =

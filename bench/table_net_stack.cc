@@ -34,39 +34,11 @@ FindCall(const fuzzer::SpecLibrary& lib, const char* full_name)
   std::exit(1);
 }
 
-fuzzer::Arg
-Scalar(uint64_t v)
+std::vector<uint8_t>
+Addr(uint16_t port)
 {
-  fuzzer::Arg a;
-  a.scalar = v;
-  return a;
-}
-
-fuzzer::Arg
-Ref(int call)
-{
-  fuzzer::Arg a;
-  a.kind = fuzzer::Arg::Kind::kResourceRef;
-  a.ref_call = call;
-  return a;
-}
-
-fuzzer::Arg
-AddrBuf(uint16_t port)
-{
-  fuzzer::Arg a;
-  a.kind = fuzzer::Arg::Kind::kBuffer;
-  a.bytes = {2, 0, static_cast<uint8_t>(port & 0xff),
-             static_cast<uint8_t>(port >> 8), 0, 0, 0, 0};
-  return a;
-}
-
-fuzzer::Arg
-Len(uint64_t v, int of_param)
-{
-  fuzzer::Arg a = Scalar(v);
-  a.len_of_param = of_param;
-  return a;
+  return {2, 0, static_cast<uint8_t>(port & 0xff),
+          static_cast<uint8_t>(port >> 8), 0, 0, 0, 0};
 }
 
 std::vector<fuzzer::Prog>
@@ -77,16 +49,14 @@ NetSeeds(const fuzzer::SpecLibrary& lib)
   const size_t listen = FindCall(lib, "listen$tcp");
   const size_t connect = FindCall(lib, "connect$tcp");
   const size_t accept = FindCall(lib, "accept$tcp");
-  fuzzer::Prog establish;
-  establish.calls = {
-      fuzzer::Call{sock, {Scalar(2), Scalar(1), Scalar(6)}},
-      fuzzer::Call{bind, {Ref(0), AddrBuf(5), Len(8, 1)}},
-      fuzzer::Call{listen, {Ref(0), Scalar(0)}},
-      fuzzer::Call{sock, {Scalar(2), Scalar(1), Scalar(6)}},
-      fuzzer::Call{connect, {Ref(3), AddrBuf(5), Len(8, 1)}},
-      fuzzer::Call{accept, {Ref(0), Scalar(0), Scalar(0)}},
-  };
-  return {establish};
+  return {fuzzer::ProgBuilder()
+              .Call(sock).Scalar(2).Scalar(1).Scalar(6)
+              .Call(bind).Ref(0).Buffer(Addr(5)).Len(8, 1)
+              .Call(listen).Ref(0).Scalar(0)
+              .Call(sock).Scalar(2).Scalar(1).Scalar(6)
+              .Call(connect).Ref(3).Buffer(Addr(5)).Len(8, 1)
+              .Call(accept).Ref(0).Scalar(0).Scalar(0)
+              .Build()};
 }
 
 struct CellResult {

@@ -163,7 +163,7 @@ echo "== running hot-path benchmarks =="
 # (and is flat on 1-CPU containers), so it would poison the trajectory
 # file.
 "${BENCH_BIN}" \
-  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_KernelBoot' \
+  --benchmark_filter='BM_FuzzThroughput|BM_ExecutorDispatch|BM_CoverageMerge|BM_CoverageCountNotIn|BM_CoverageHit|BM_Distill|BM_KernelOpenClose|BM_SnapshotSaveLoad|BM_SnapshotAppend|BM_FaultPointDisarmed|BM_FleetRoundOverhead|BM_DiffRunnerOverhead|BM_KernelBoot|BM_GenerateMutate|BM_ProgCopy' \
   --benchmark_repetitions=3 --benchmark_report_aggregates_only=true \
   --benchmark_format=json > "${RAW}"
 
@@ -225,6 +225,17 @@ result = {
             round(ns_per_item("BM_KernelBoot/real_time") / 1000.0, 2)
             if ns_per_item("BM_KernelBoot/real_time") else None
         ),
+    },
+    # Flat programs: Generate + Mutate into one reused Prog, and the copy
+    # of a corpus program into it. Recorded, not gated.
+    "generate_mutate": {
+        "us_per_prog": (
+            round(ns_per_item("BM_GenerateMutate/real_time") / 1000.0, 3)
+            if ns_per_item("BM_GenerateMutate/real_time") else None
+        ),
+    },
+    "prog_copy": {
+        "ns_per_prog": ns_per_item("BM_ProgCopy/real_time"),
     },
     # vkernel open path (PR 4): one program's open/close round trip of a
     # model device, with the handler pool serving steady-state opens.

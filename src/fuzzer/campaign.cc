@@ -4,12 +4,12 @@ namespace kernelgpt::fuzzer {
 
 void
 AdmitToCorpus(const CampaignOptions& options, util::Rng* rng,
-              std::vector<Prog>* corpus, Prog prog)
+              std::vector<Prog>* corpus, const Prog& prog)
 {
   if (corpus->size() >= options.corpus_cap) {
-    (*corpus)[rng->Below(corpus->size())] = std::move(prog);
+    (*corpus)[rng->Below(corpus->size())] = prog;
   } else {
-    corpus->push_back(std::move(prog));
+    corpus->push_back(prog);
   }
 }
 
@@ -34,13 +34,15 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
                  int n, std::vector<Prog>* interesting_out)
 {
   std::vector<Prog>& corpus = *state.corpus;
+  // One working program for the whole chunk: once its arrays are warm,
+  // copying a corpus entry in or generating into it allocates nothing.
+  Prog prog;
   for (int i = 0; i < n; ++i) {
-    Prog prog;
     if (!corpus.empty() && state.rng->Chance(options.mutate_prob)) {
       prog = corpus[state.rng->Below(corpus.size())];
       state.mutator->Mutate(&prog);
     } else {
-      prog = state.generator->Generate(options.max_prog_len);
+      state.generator->Generate(options.max_prog_len, &prog);
     }
     if (prog.empty()) continue;
 
@@ -51,7 +53,7 @@ RunCampaignChunk(const CampaignOptions& options, const CampaignState& state,
     }
     if (exec.new_blocks > 0) {
       if (interesting_out) interesting_out->push_back(prog);
-      AdmitToCorpus(options, state.rng, &corpus, std::move(prog));
+      AdmitToCorpus(options, state.rng, &corpus, prog);
     }
   }
 }

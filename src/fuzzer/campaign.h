@@ -79,7 +79,7 @@ void RunCampaignChunk(const CampaignOptions& options, const CampaignState& state
 /// the orchestrator's cross-shard ingest so admission policy cannot
 /// diverge between them.
 void AdmitToCorpus(const CampaignOptions& options, util::Rng* rng,
-                   std::vector<Prog>* corpus, Prog prog);
+                   std::vector<Prog>* corpus, const Prog& prog);
 
 /// Replays `options.seed_corpus` into `state` (coverage primed, seeds
 /// admitted to the corpus up to corpus_cap in order). Consumes no RNG

@@ -21,15 +21,24 @@ constexpr long kInvalidFd = 999999;
 /// failed): never a valid fd, never ok().
 const SyscallResult kUnsetResult = SyscallResult::FromRaw(-1);
 
-/// Extracts the NUL-terminated path prefix of a buffer argument without
-/// copying; the view borrows the argument's bytes for the call duration.
-std::string_view
-PathFrom(const Arg& arg)
+/// Zero-copy view over an argument's payload; the view borrows the
+/// program's arena for the call duration.
+Buffer
+ViewOf(const Prog& prog, const Arg& arg)
 {
+  if (arg.bytes_len == 0) return Buffer();
+  return Buffer::View(prog.bytes.data() + arg.bytes_off, arg.bytes_len);
+}
+
+/// Extracts the NUL-terminated path prefix of a buffer argument without
+/// copying.
+std::string_view
+PathFrom(const Prog& prog, const Arg& arg)
+{
+  const util::Span<const uint8_t> bytes = prog.BytesOf(arg);
   size_t len = 0;
-  while (len < arg.bytes.size() && arg.bytes[len] != 0) ++len;
-  return std::string_view(reinterpret_cast<const char*>(arg.bytes.data()),
-                          len);
+  while (len < bytes.size() && bytes[len] != 0) ++len;
+  return std::string_view(reinterpret_cast<const char*>(bytes.data()), len);
 }
 
 /// Resolves the concrete fd value of an argument.
@@ -48,22 +57,24 @@ FdOf(const Arg& arg, const std::vector<SyscallResult>& results)
 }
 
 uint64_t
-ScalarOf(const Call& call, size_t index)
+ScalarOf(util::Span<const Arg> args, size_t index)
 {
-  if (index >= call.args.size()) return 0;
-  return call.args[index].scalar;
+  if (index >= args.size()) return 0;
+  return args[index].scalar;
+}
+
+bool
+IsBufferAt(util::Span<const Arg> args, size_t index)
+{
+  return index < args.size() && args[index].kind == Arg::Kind::kBuffer;
 }
 
 /// Zero-copy view over a buffer argument; empty view when the argument
 /// is absent or not a buffer.
 Buffer
-BufferViewAt(const Call& call, size_t index)
+BufferViewAt(const Prog& prog, util::Span<const Arg> args, size_t index)
 {
-  if (index < call.args.size() &&
-      call.args[index].kind == Arg::Kind::kBuffer) {
-    return Buffer::View(call.args[index].bytes);
-  }
-  return Buffer();
+  return IsBufferAt(args, index) ? ViewOf(prog, args[index]) : Buffer();
 }
 
 }  // namespace
@@ -74,23 +85,21 @@ Executor::Executor(vkernel::KernelModel* kernel, const SpecLibrary* lib,
 
 SyscallResult
 Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
-                   const Call& call,
+                   const Prog& prog, util::Span<const Arg> call,
                    const std::vector<SyscallResult>& results,
                    ExecContext& ctx)
 {
-  auto fd0 = [&]() {
-    return call.args.empty() ? -1 : FdOf(call.args[0], results);
-  };
+  auto fd0 = [&]() { return call.empty() ? -1 : FdOf(call[0], results); };
 
   SyscallArgs args;
   switch (op) {
     case SyscallOp::kOpen:
     case SyscallOp::kOpenat: {
       const size_t path_idx = op == SyscallOp::kOpenat ? 1 : 0;
-      if (path_idx >= call.args.size()) {
+      if (path_idx >= call.size()) {
         return SyscallResult::Err(vkernel::kEINVAL);
       }
-      args.path = PathFrom(call.args[path_idx]);
+      args.path = PathFrom(prog, call[path_idx]);
       args.a = ScalarOf(call, path_idx + 1);
       return kernel_->Syscall(ModelOp::kOpenat, args, ctx);
     }
@@ -103,22 +112,21 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
     case SyscallOp::kIoctl: {
       args.fd = fd0();
       args.a = ScalarOf(call, 1);
-      if (call.args.size() > 2 && call.args[2].kind == Arg::Kind::kBuffer) {
-        Buffer buf = Buffer::View(call.args[2].bytes);
+      if (IsBufferAt(call, 2)) {
+        Buffer buf = ViewOf(prog, call[2]);
         args.io = &buf;
         return kernel_->Syscall(ModelOp::kIoctl, args, ctx);
       }
       return kernel_->Syscall(ModelOp::kIoctl, args, ctx);
     }
     case SyscallOp::kRead: {
-      out_scratch_.bytes.assign(
-          call.args.size() > 1 ? call.args[1].bytes.size() : 0, 0);
+      out_scratch_.bytes.assign(call.size() > 1 ? call[1].bytes_len : 0, 0);
       args.fd = fd0();
       args.io = &out_scratch_;
       return kernel_->Syscall(ModelOp::kRead, args, ctx);
     }
     case SyscallOp::kWrite: {
-      Buffer in = BufferViewAt(call, 1);
+      Buffer in = BufferViewAt(prog, call, 1);
       args.fd = fd0();
       args.in = &in;
       return kernel_->Syscall(ModelOp::kWrite, args, ctx);
@@ -136,7 +144,7 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
       args.c = ScalarOf(call, 2);
       return kernel_->Syscall(ModelOp::kSocket, args, ctx);
     case SyscallOp::kSetSockOpt: {
-      Buffer val = BufferViewAt(call, 3);
+      Buffer val = BufferViewAt(prog, call, 3);
       args.fd = fd0();
       args.a = ScalarOf(call, 1);
       args.b = ScalarOf(call, 2);
@@ -145,7 +153,7 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
     }
     case SyscallOp::kGetSockOpt: {
       // In/out: the user's bytes size the buffer, the kernel writes it.
-      Buffer val = BufferViewAt(call, 3);
+      Buffer val = BufferViewAt(prog, call, 3);
       args.fd = fd0();
       args.a = ScalarOf(call, 1);
       args.b = ScalarOf(call, 2);
@@ -153,20 +161,20 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
       return kernel_->Syscall(ModelOp::kGetSockOpt, args, ctx);
     }
     case SyscallOp::kBind: {
-      Buffer addr = BufferViewAt(call, 1);
+      Buffer addr = BufferViewAt(prog, call, 1);
       args.fd = fd0();
       args.addr = &addr;
       return kernel_->Syscall(ModelOp::kBind, args, ctx);
     }
     case SyscallOp::kConnect: {
-      Buffer addr = BufferViewAt(call, 1);
+      Buffer addr = BufferViewAt(prog, call, 1);
       args.fd = fd0();
       args.addr = &addr;
       return kernel_->Syscall(ModelOp::kConnect, args, ctx);
     }
     case SyscallOp::kSendTo: {
-      Buffer data = BufferViewAt(call, 1);
-      Buffer addr = BufferViewAt(call, 4);
+      Buffer data = BufferViewAt(prog, call, 1);
+      Buffer addr = BufferViewAt(prog, call, 4);
       args.fd = fd0();
       args.in = &data;
       args.addr = &addr;
@@ -194,46 +202,56 @@ Executor::Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
   }
   // Unknown opcodes fall back to the name chain so a name Finalize()
   // could not classify still behaves exactly as it always has.
-  return DispatchByName(def, call, results, ctx);
+  return DispatchByName(def, prog, call, results, ctx);
 }
 
 SyscallResult
-Executor::DispatchByName(const syzlang::SyscallDef& def, const Call& call,
+Executor::DispatchByName(const syzlang::SyscallDef& def, const Prog& prog,
+                         util::Span<const Arg> call,
                          const std::vector<SyscallResult>& results,
                          ExecContext& ctx)
 {
   const std::string& name = def.name;
-  auto fd0 = [&]() {
-    return call.args.empty() ? -1 : FdOf(call.args[0], results);
+  auto fd0 = [&]() { return call.empty() ? -1 : FdOf(call[0], results); };
+  // Owned copy of a buffer argument's payload (empty when absent).
+  auto copy_at = [&](size_t index) {
+    Buffer buf;
+    if (IsBufferAt(call, index)) {
+      const util::Span<const uint8_t> bytes = prog.BytesOf(call[index]);
+      buf.bytes.assign(bytes.begin(), bytes.end());
+    }
+    return buf;
   };
 
   if (name == "openat" || name == "open") {
     size_t path_idx = name == "openat" ? 1 : 0;
-    if (path_idx >= call.args.size()) {
+    if (path_idx >= call.size()) {
       return SyscallResult::Err(vkernel::kEINVAL);
     }
     uint64_t flags = ScalarOf(call, path_idx + 1);
-    return kernel_->Openat(PathFrom(call.args[path_idx]), flags, ctx);
+    return kernel_->Openat(PathFrom(prog, call[path_idx]), flags, ctx);
   }
   if (name == "close") return kernel_->Close(fd0(), ctx);
   if (name == "dup") return kernel_->Dup(fd0(), ctx);
   if (name == "ioctl") {
     uint64_t cmd = ScalarOf(call, 1);
-    if (call.args.size() > 2 && call.args[2].kind == Arg::Kind::kBuffer) {
-      Buffer buf;
-      buf.bytes = call.args[2].bytes;
+    if (IsBufferAt(call, 2)) {
+      Buffer buf = copy_at(2);
       return kernel_->Ioctl(fd0(), cmd, &buf, ctx);
     }
     return kernel_->Ioctl(fd0(), cmd, nullptr, ctx);
   }
   if (name == "read") {
     Buffer out;
-    if (call.args.size() > 1) out.bytes.resize(call.args[1].bytes.size());
+    if (call.size() > 1) out.bytes.resize(call[1].bytes_len);
     return kernel_->Read(fd0(), &out, ctx);
   }
   if (name == "write") {
     Buffer in;
-    if (call.args.size() > 1) in.bytes = call.args[1].bytes;
+    if (call.size() > 1) {
+      const util::Span<const uint8_t> bytes = prog.BytesOf(call[1]);
+      in.bytes.assign(bytes.begin(), bytes.end());
+    }
     return kernel_->Write(fd0(), in, ctx);
   }
   if (name == "poll") return kernel_->Poll(fd0(), ctx);
@@ -245,32 +263,20 @@ Executor::DispatchByName(const syzlang::SyscallDef& def, const Call& call,
   if (name == "setsockopt" || name == "getsockopt") {
     uint64_t level = ScalarOf(call, 1);
     uint64_t optname = ScalarOf(call, 2);
-    Buffer val;
-    if (call.args.size() > 3 && call.args[3].kind == Arg::Kind::kBuffer) {
-      val.bytes = call.args[3].bytes;
-    }
+    Buffer val = copy_at(3);
     if (name == "setsockopt") {
       return kernel_->SetSockOpt(fd0(), level, optname, val, ctx);
     }
     return kernel_->GetSockOpt(fd0(), level, optname, &val, ctx);
   }
   if (name == "bind" || name == "connect") {
-    Buffer addr;
-    if (call.args.size() > 1 && call.args[1].kind == Arg::Kind::kBuffer) {
-      addr.bytes = call.args[1].bytes;
-    }
+    Buffer addr = copy_at(1);
     return name == "bind" ? kernel_->Bind(fd0(), addr, ctx)
                           : kernel_->Connect(fd0(), addr, ctx);
   }
   if (name == "sendto") {
-    Buffer data;
-    Buffer addr;
-    if (call.args.size() > 1 && call.args[1].kind == Arg::Kind::kBuffer) {
-      data.bytes = call.args[1].bytes;
-    }
-    if (call.args.size() > 4 && call.args[4].kind == Arg::Kind::kBuffer) {
-      addr.bytes = call.args[4].bytes;
-    }
+    Buffer data = copy_at(1);
+    Buffer addr = copy_at(4);
     return kernel_->SendTo(fd0(), data, addr, ctx);
   }
   if (name == "recvfrom" || name == "recvmsg") {
@@ -298,14 +304,14 @@ Executor::Run(const Prog& prog, vkernel::Coverage* total, ExecTrace* trace)
 
   results_.assign(prog.calls.size(), kUnsetResult);
   for (size_t i = 0; i < prog.calls.size(); ++i) {
-    const Call& call = prog.calls[i];
-    if (call.syscall_index >= lib_->syscalls().size()) continue;
-    const syzlang::SyscallDef& def = lib_->syscalls()[call.syscall_index];
+    const size_t index = prog.calls[i].syscall_index;
+    if (index >= lib_->syscalls().size()) continue;
+    const syzlang::SyscallDef& def = lib_->syscalls()[index];
+    const util::Span<const Arg> args = prog.ArgsOf(i);
     SyscallResult rc =
         mode_ == DispatchMode::kOpcode
-            ? Dispatch(lib_->OpcodeOf(call.syscall_index), def, call,
-                       results_, ctx)
-            : DispatchByName(def, call, results_, ctx);
+            ? Dispatch(lib_->OpcodeOf(index), def, prog, args, results_, ctx)
+            : DispatchByName(def, prog, args, results_, ctx);
     results_[i] = rc;
     ++result.calls_executed;
     if (ctx.crashed()) break;

@@ -78,14 +78,16 @@ class Executor {
   vkernel::KernelModel* model() const { return kernel_; }
 
  private:
+  /// `call` is the args of one call of `prog`.
   vkernel::SyscallResult Dispatch(SyscallOp op, const syzlang::SyscallDef& def,
-                                  const Call& call,
+                                  const Prog& prog, util::Span<const Arg> call,
                                   const std::vector<vkernel::SyscallResult>& results,
                                   vkernel::ExecContext& ctx);
 
   /// The pre-opcode string-comparison chain, kept as the parity fallback.
   vkernel::SyscallResult DispatchByName(
-      const syzlang::SyscallDef& def, const Call& call,
+      const syzlang::SyscallDef& def, const Prog& prog,
+      util::Span<const Arg> call,
       const std::vector<vkernel::SyscallResult>& results,
       vkernel::ExecContext& ctx);
 

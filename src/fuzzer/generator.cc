@@ -105,55 +105,94 @@ namespace {
 void
 AppendScalarBytes(std::vector<uint8_t>* out, uint64_t value, size_t size)
 {
-  size_t at = out->size();
-  out->resize(at + size);
+  // push_back's inline fast path beats resize() into a warm arena.
   for (size_t i = 0; i < size; ++i) {
-    (*out)[at + i] = static_cast<uint8_t>(value >> (8 * i));
+    out->push_back(static_cast<uint8_t>(value >> (8 * i)));
   }
+}
+
+bool
+IsComposite(TypeKind kind)
+{
+  return kind == TypeKind::kArray || kind == TypeKind::kString ||
+         kind == TypeKind::kStructRef;
+}
+
+/// Byte width of a struct's len/bytesize field.
+size_t
+LenFieldSize(const Type& type)
+{
+  return type.bits == 0 ? 8 : static_cast<size_t>(type.bits) / 8;
 }
 
 }  // namespace
 
-std::vector<uint8_t>
-Generator::BuildPayload(const Type& type)
+const std::vector<int>&
+Generator::LenTargetsFor(const Type& type, const syzlang::StructDef& def)
 {
-  std::vector<uint8_t> out;
+  TypeInfo& info = InfoFor(type);
+  if (!info.len_targets_known) {
+    // A len field names its target; the last composite field of that
+    // name is the one measured.
+    info.len_targets.assign(def.fields.size(), -1);
+    for (size_t i = 0; i < def.fields.size(); ++i) {
+      const Type& ft = def.fields[i].type;
+      if (ft.kind != TypeKind::kLen && ft.kind != TypeKind::kBytesize) {
+        continue;
+      }
+      if (ft.len_target == "parent") {
+        info.len_targets[i] = kLenOfParent;
+        continue;
+      }
+      for (size_t j = 0; j < def.fields.size(); ++j) {
+        if (IsComposite(def.fields[j].type.kind) &&
+            def.fields[j].name == ft.len_target) {
+          info.len_targets[i] = static_cast<int>(j);
+        }
+      }
+    }
+    info.len_targets_known = true;
+  }
+  return info.len_targets;
+}
+
+void
+Generator::BuildPayload(const Type& type, std::vector<uint8_t>* out)
+{
+  const size_t start = out->size();
   switch (type.kind) {
     case TypeKind::kString: {
       if (!type.str_literal.empty()) {
-        out.assign(type.str_literal.begin(), type.str_literal.end());
-        out.push_back(0);
+        out->insert(out->end(), type.str_literal.begin(),
+                    type.str_literal.end());
       } else {
         size_t n = rng_->Below(16);
         for (size_t i = 0; i < n; ++i) {
-          out.push_back(static_cast<uint8_t>('a' + rng_->Below(26)));
+          out->push_back(static_cast<uint8_t>('a' + rng_->Below(26)));
         }
-        out.push_back(0);
       }
-      return out;
+      out->push_back(0);
+      return;
     }
     case TypeKind::kArray: {
       const Type& elem = type.elems.at(0);
       uint64_t count =
           type.array_len > 0 ? type.array_len : rng_->Below(17);
       size_t elem_size = CachedTypeSize(elem);
-      out.reserve(count * (elem_size ? elem_size : 4));
       for (uint64_t i = 0; i < count; ++i) {
         if (elem.kind == TypeKind::kStructRef) {
-          auto nested = BuildPayload(elem);
-          out.insert(out.end(), nested.begin(), nested.end());
+          BuildPayload(elem, out);
         } else {
-          AppendScalarBytes(&out, ScalarFor(elem),
-                            elem_size ? elem_size : 4);
+          AppendScalarBytes(out, ScalarFor(elem), elem_size ? elem_size : 4);
         }
       }
-      return out;
+      return;
     }
     case TypeKind::kStructRef: {
       const syzlang::StructDef* def = StructInfoFor(type).struct_def;
       if (!def) {
-        out.assign(8, 0);
-        return out;
+        out->resize(start + 8, 0);
+        return;
       }
       if (def->is_union) {
         // Pick one arm and pad to the union size.
@@ -161,116 +200,108 @@ Generator::BuildPayload(const Type& type)
         if (!def->fields.empty()) {
           const auto& arm =
               def->fields[rng_->Below(def->fields.size())];
-          out = BuildPayload(arm.type);
-          if (out.empty()) {
-            AppendScalarBytes(&out, ScalarFor(arm.type),
+          BuildPayload(arm.type, out);
+          if (out->size() == start) {
+            AppendScalarBytes(out, ScalarFor(arm.type),
                               CachedTypeSize(arm.type));
           }
         }
-        out.resize(total, 0);
-        return out;
+        out->resize(start + total, 0);
+        return;
       }
-      // First pass: generate non-len fields, remembering array element
-      // counts; second pass fills len fields with the observed counts.
-      struct Slot {
-        size_t offset;
-        size_t size;
-        std::string target;  ///< Non-empty: len of this sibling.
-        bool bytesize = false;
-      };
-      std::vector<Slot> len_slots;
-      std::unordered_map<std::string, uint64_t> elem_counts;
-      std::unordered_map<std::string, uint64_t> byte_sizes;
-      out.reserve(CachedTypeSize(type));
-      for (const auto& field : def->fields) {
-        const Type& ft = field.type;
+      // First pass: generate non-len fields, remembering each composite
+      // field's byte size and each len field's offset; the second pass
+      // fills len fields from their resolved target fields.
+      const std::vector<int>& len_targets = LenTargetsFor(type, *def);
+      const size_t frame = field_scratch_.size();
+      field_scratch_.resize(frame + def->fields.size());
+      for (size_t f = 0; f < def->fields.size(); ++f) {
+        const Type& ft = def->fields[f].type;
         if (ft.kind == TypeKind::kLen || ft.kind == TypeKind::kBytesize) {
-          Slot slot;
-          slot.offset = out.size();
-          slot.size = ft.bits == 0 ? 8 : static_cast<size_t>(ft.bits) / 8;
-          slot.target = ft.len_target;
-          slot.bytesize = ft.kind == TypeKind::kBytesize;
-          len_slots.push_back(slot);
-          AppendScalarBytes(&out, 0, slot.size);
+          field_scratch_[frame + f] = out->size() - start;
+          AppendScalarBytes(out, 0, LenFieldSize(ft));
           continue;
         }
-        if (ft.kind == TypeKind::kArray || ft.kind == TypeKind::kString ||
-            ft.kind == TypeKind::kStructRef) {
-          std::vector<uint8_t> payload = BuildPayload(ft);
-          size_t elem_size = ft.kind == TypeKind::kArray
-                                 ? std::max<size_t>(
-                                       CachedTypeSize(ft.elems.at(0)), 1)
-                                 : 1;
-          elem_counts[field.name] = payload.size() / elem_size;
-          byte_sizes[field.name] = payload.size();
+        if (IsComposite(ft.kind)) {
+          const size_t field_start = out->size();
+          BuildPayload(ft, out);
+          field_scratch_[frame + f] = out->size() - field_start;
           // Fixed-size fields keep their declared size.
           size_t declared = CachedTypeSize(ft);
-          if (declared > 0) payload.resize(declared, 0);
-          out.insert(out.end(), payload.begin(), payload.end());
+          if (declared > 0) out->resize(field_start + declared, 0);
           continue;
         }
         size_t size = CachedTypeSize(ft);
-        AppendScalarBytes(&out, ScalarFor(ft), size ? size : 4);
+        AppendScalarBytes(out, ScalarFor(ft), size ? size : 4);
       }
-      for (const Slot& slot : len_slots) {
+      for (size_t f = 0; f < def->fields.size(); ++f) {
+        const Type& ft = def->fields[f].type;
+        if (ft.kind != TypeKind::kLen && ft.kind != TypeKind::kBytesize) {
+          continue;
+        }
+        const int target = len_targets[f];
         uint64_t value = 0;
-        if (slot.target == "parent") {
-          value = out.size();
-        } else if (slot.bytesize) {
-          auto it = byte_sizes.find(slot.target);
-          if (it != byte_sizes.end()) value = it->second;
-        } else {
-          auto it = elem_counts.find(slot.target);
-          if (it != elem_counts.end()) value = it->second;
+        if (target == kLenOfParent) {
+          value = out->size() - start;
+        } else if (target >= 0) {
+          value = field_scratch_[frame + static_cast<size_t>(target)];
+          const Type& tt = def->fields[static_cast<size_t>(target)].type;
+          if (ft.kind == TypeKind::kLen && tt.kind == TypeKind::kArray) {
+            value /= std::max<size_t>(CachedTypeSize(tt.elems.at(0)), 1);
+          }
         }
-        for (size_t i = 0; i < slot.size; ++i) {
-          out[slot.offset + i] = static_cast<uint8_t>(value >> (8 * i));
+        const size_t at = start + field_scratch_[frame + f];
+        const size_t size = LenFieldSize(ft);
+        for (size_t i = 0; i < size; ++i) {
+          (*out)[at + i] = static_cast<uint8_t>(value >> (8 * i));
         }
       }
-      return out;
+      field_scratch_.resize(frame);
+      return;
     }
     default: {
       size_t size = CachedTypeSize(type);
-      AppendScalarBytes(&out, ScalarFor(type), size ? size : 4);
-      return out;
+      AppendScalarBytes(out, ScalarFor(type), size ? size : 4);
+      return;
     }
   }
 }
 
 Arg
-Generator::BuildArg(const Type& type)
+Generator::BuildArg(const Type& type, Prog* prog)
 {
   Arg arg;
+  std::vector<uint8_t>& bytes = prog->bytes;
+  arg.bytes_off = static_cast<uint32_t>(bytes.size());
   switch (type.kind) {
     case TypeKind::kResource:
       arg.kind = Arg::Kind::kResourceRef;
       return arg;
-    case TypeKind::kStructRef: {
+    case TypeKind::kStructRef:
       // A bare name can be a resource reference after parsing round-trips.
       if (StructInfoFor(type).is_resource_ref) {
         arg.kind = Arg::Kind::kResourceRef;
         return arg;
       }
       arg.kind = Arg::Kind::kBuffer;
-      arg.bytes = BuildPayload(type);
-      return arg;
-    }
+      BuildPayload(type, &bytes);
+      break;
     case TypeKind::kPtr:
       arg.kind = Arg::Kind::kBuffer;
       arg.dir = type.dir;
-      arg.bytes = BuildPayload(type.elems.at(0));
+      BuildPayload(type.elems.at(0), &bytes);
       if (type.dir == Dir::kOut) {
         // Out buffers are kernel-filled; provide capacity only.
         size_t want = CachedTypeSize(type.elems.at(0));
-        arg.bytes.assign(want ? want : 64, 0);
+        bytes.resize(arg.bytes_off);
+        bytes.resize(arg.bytes_off + (want ? want : 64), 0);
       }
-      return arg;
+      break;
     case TypeKind::kFilename: {
       arg.kind = Arg::Kind::kBuffer;
-      std::string path = "/dev/null";
-      arg.bytes.assign(path.begin(), path.end());
-      arg.bytes.push_back(0);
-      return arg;
+      static constexpr char kPath[] = "/dev/null";  // NUL included.
+      bytes.insert(bytes.end(), kPath, kPath + sizeof(kPath));
+      break;
     }
     case TypeKind::kLen:
     case TypeKind::kBytesize:
@@ -282,21 +313,23 @@ Generator::BuildArg(const Type& type)
       arg.scalar = ScalarFor(type);
       return arg;
   }
+  arg.bytes_len = static_cast<uint32_t>(bytes.size() - arg.bytes_off);
+  return arg;
 }
 
 void
-Generator::LinkLens(const SyscallDef& def, Call* call)
+Generator::LinkLens(Prog* prog, size_t call)
 {
-  (void)def;
+  const util::Span<Arg> args = prog->ArgsOf(call);
   // (len param, target param) pairs are precomputed by Finalize().
   for (const auto& [len_idx, target_idx] :
-       lib_->LenLinksOf(call->syscall_index)) {
+       lib_->LenLinksOf(prog->calls[call].syscall_index)) {
     const size_t i = static_cast<size_t>(len_idx);
     const size_t j = static_cast<size_t>(target_idx);
-    if (i >= call->args.size() || j >= call->args.size()) continue;
-    if (call->args[i].len_of_param == kBrokenLenLink) continue;
-    call->args[i].len_of_param = static_cast<int>(j);
-    call->args[i].scalar = call->args[j].bytes.size();
+    if (i >= args.size() || j >= args.size()) continue;
+    if (args[i].len_of_param == kBrokenLenLink) continue;
+    args[i].len_of_param = static_cast<int>(j);
+    args[i].scalar = args[j].bytes_len;
   }
 }
 
@@ -305,15 +338,14 @@ Generator::AppendCall(Prog* prog, size_t syscall_index, int depth)
 {
   if (syscall_index >= lib_->syscalls().size()) return -1;
   const SyscallDef& def = lib_->syscalls()[syscall_index];
-  Call call;
-  call.syscall_index = syscall_index;
 
+  // This call's args wait on a stack frame while producer calls for its
+  // resource params are appended ahead of it.
+  const size_t frame = pending_args_.size();
   for (const auto& param : def.params) {
-    Arg arg = BuildArg(param.type);
+    Arg arg = BuildArg(param.type, prog);
     if (arg.kind == Arg::Kind::kResourceRef) {
-      const std::string& res = param.type.kind == TypeKind::kResource
-                                   ? param.type.ref_name
-                                   : param.type.ref_name;
+      const std::string& res = param.type.ref_name;
       // Reuse the most recent producer already in the program.
       for (int c = static_cast<int>(prog->calls.size()) - 1; c >= 0; --c) {
         const SyscallDef& prev =
@@ -326,33 +358,50 @@ Generator::AppendCall(Prog* prog, size_t syscall_index, int depth)
       if (arg.ref_call < 0 && depth < 4) {
         // Prefer producers that do not themselves consume this resource
         // (socket/openat over accept); precomputed in Finalize().
-        const auto& pool = lib_->SafeProducersOf(res);
+        TypeInfo& info = InfoFor(param.type);
+        if (!info.safe_producers) {
+          info.safe_producers = &lib_->SafeProducersOf(res);
+        }
+        const std::vector<size_t>& pool = *info.safe_producers;
         if (!pool.empty()) {
           size_t producer = pool[rng_->Below(pool.size())];
           arg.ref_call = AppendCall(prog, producer, depth + 1);
         }
       }
     }
-    call.args.push_back(std::move(arg));
+    pending_args_.push_back(arg);
   }
-  LinkLens(def, &call);
-  prog->calls.push_back(std::move(call));
-  return static_cast<int>(prog->calls.size()) - 1;
+  prog->AddCall(syscall_index);
+  prog->args.insert(prog->args.end(), pending_args_.begin() + frame,
+                    pending_args_.end());
+  prog->calls.back().num_args =
+      static_cast<uint32_t>(pending_args_.size() - frame);
+  pending_args_.resize(frame);
+  const size_t index = prog->calls.size() - 1;
+  LinkLens(prog, index);
+  return static_cast<int>(index);
 }
 
 Prog
 Generator::Generate(int max_len)
 {
   Prog prog;
-  if (lib_->syscalls().empty()) return prog;
+  Generate(max_len, &prog);
+  return prog;
+}
+
+void
+Generator::Generate(int max_len, Prog* out)
+{
+  out->Clear();
+  if (lib_->syscalls().empty()) return;
   int want = 1 + static_cast<int>(rng_->Below(static_cast<uint64_t>(
                  max_len > 0 ? max_len : 1)));
-  while (static_cast<int>(prog.calls.size()) < want) {
+  while (static_cast<int>(out->calls.size()) < want) {
     size_t idx = rng_->Below(lib_->syscalls().size());
-    AppendCall(&prog, idx);
-    if (prog.calls.size() > 3 * static_cast<size_t>(want)) break;
+    AppendCall(out, idx);
+    if (out->calls.size() > 3 * static_cast<size_t>(want)) break;
   }
-  return prog;
 }
 
 }  // namespace kernelgpt::fuzzer

@@ -23,28 +23,29 @@ class Generator {
   /// chains may push slightly beyond).
   Prog Generate(int max_len);
 
-  /// Builds one argument for a parameter type; resource params get
-  /// `ref_call` = -1 and must be fixed up by the caller.
-  Arg BuildArg(const syzlang::Type& type);
+  /// Generate() into `out`, reusing its capacity.
+  void Generate(int max_len, Prog* out);
 
-  /// Builds the byte payload for a pointee type (struct/array/string).
-  std::vector<uint8_t> BuildPayload(const syzlang::Type& type);
+  /// Builds one argument for a parameter type, appending any payload to
+  /// `prog`'s arena; resource params get `ref_call` = -1 and must be
+  /// fixed up by the caller.
+  Arg BuildArg(const syzlang::Type& type, Prog* prog);
+
+  /// Appends the byte payload for a pointee type (struct/array/string)
+  /// to `out`.
+  void BuildPayload(const syzlang::Type& type, std::vector<uint8_t>* out);
 
   /// Appends `syscall_index` to the program, inserting any producer calls
   /// its resource parameters need. Returns the index of the appended call.
   int AppendCall(Prog* prog, size_t syscall_index, int depth = 0);
 
-  /// Resolves len[...] parameters after all sibling args exist.
-  void LinkLens(const syzlang::SyscallDef& def, Call* call);
+  /// Resolves call `call`'s len[...] parameters after all its args exist.
+  void LinkLens(Prog* prog, size_t call);
 
   /// Random scalar for an int type, biased toward special values.
   uint64_t ScalarFor(const syzlang::Type& type);
 
  private:
-  /// Serializes one field of a struct into `out`, returning the patch
-  /// offset when the field is a len awaiting its target size.
-  void AppendField(const syzlang::StructDef& def, std::vector<uint8_t>* out);
-
   /// Per-Type resolutions of the name-keyed library lookups (constant
   /// values, flag sets, struct defs, packed sizes). Spec types are
   /// stable after SpecLibrary::Finalize(), so they are cached by address
@@ -60,7 +61,15 @@ class Generator {
     bool is_resource_ref = false;
     bool size_known = false;
     size_t type_size = 0;
+    /// kStructRef: per field, the index of the field a len/bytesize
+    /// field measures (kLenOfParent for "parent", -1 when no composite
+    /// field has that name); resolved on first use.
+    bool len_targets_known = false;
+    std::vector<int> len_targets;
+    /// Resource params: SafeProducersOf(ref_name), resolved on first use.
+    const std::vector<size_t>* safe_producers = nullptr;
   };
+  static constexpr int kLenOfParent = -2;
 
   /// Flat-array lookup via the slot Finalize() stamped on the type;
   /// types from outside a finalized library fall back to a pointer map.
@@ -85,12 +94,23 @@ class Generator {
   /// resolved — the shared lazy-init for BuildArg and BuildPayload.
   TypeInfo& StructInfoFor(const syzlang::Type& type);
 
+  /// The TypeInfo::len_targets of struct `type` (whose definition is
+  /// `def`), resolved on first use.
+  const std::vector<int>& LenTargetsFor(const syzlang::Type& type,
+                                        const syzlang::StructDef& def);
+
   size_t CachedTypeSize(const syzlang::Type& type);
 
   const SpecLibrary* lib_;
   util::Rng* rng_;
   std::vector<TypeInfo> slots_;
   std::unordered_map<const syzlang::Type*, TypeInfo> fallback_cache_;
+  /// Stacks shared by the recursive builders, each frame popped on
+  /// return, so warm generation allocates nothing: the args of calls
+  /// whose producer calls are still being appended, and per struct field
+  /// a len field's offset or a composite field's generated byte size.
+  std::vector<Arg> pending_args_;
+  std::vector<size_t> field_scratch_;
 };
 
 }  // namespace kernelgpt::fuzzer

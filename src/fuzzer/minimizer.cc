@@ -1,26 +1,8 @@
 #include "fuzzer/minimizer.h"
 
+#include <algorithm>
+
 namespace kernelgpt::fuzzer {
-
-namespace {
-
-/// Removes call `index`, rewiring resource references.
-Prog
-WithoutCall(const Prog& prog, size_t index)
-{
-  Prog out = prog;
-  out.calls.erase(out.calls.begin() + static_cast<long>(index));
-  for (Call& call : out.calls) {
-    for (Arg& arg : call.args) {
-      if (arg.kind != Arg::Kind::kResourceRef) continue;
-      if (arg.ref_call == static_cast<int>(index)) arg.ref_call = -1;
-      if (arg.ref_call > static_cast<int>(index)) --arg.ref_call;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 MinimizeResult
 MinimizeWhile(const Prog& input, const MinimizeProperty& property)
@@ -46,7 +28,8 @@ MinimizeWhile(const Prog& input, const MinimizeProperty& property)
   while (shrunk && result.prog.calls.size() > 1) {
     shrunk = false;
     for (size_t i = result.prog.calls.size(); i-- > 0;) {
-      Prog candidate = WithoutCall(result.prog, i);
+      Prog candidate = result.prog;
+      candidate.RemoveCall(i);
       if (candidate.empty()) continue;
       if (holds(candidate)) {
         result.prog = std::move(candidate);
@@ -57,36 +40,29 @@ MinimizeWhile(const Prog& input, const MinimizeProperty& property)
   }
 
   // Pass 2: zero scalar arguments that the property does not depend on.
-  for (size_t c = 0; c < result.prog.calls.size(); ++c) {
-    for (size_t a = 0; a < result.prog.calls[c].args.size(); ++a) {
-      Arg& arg = result.prog.calls[c].args[a];
-      if (arg.kind != Arg::Kind::kScalar || arg.scalar == 0) continue;
-      uint64_t saved = arg.scalar;
-      arg.scalar = 0;
-      if (!holds(result.prog)) arg.scalar = saved;
-    }
+  for (Arg& arg : result.prog.args) {
+    if (arg.kind != Arg::Kind::kScalar || arg.scalar == 0) continue;
+    uint64_t saved = arg.scalar;
+    arg.scalar = 0;
+    if (!holds(result.prog)) arg.scalar = saved;
   }
 
   // Pass 3: zero buffer bytes region-wise (keeps property-relevant
   // fields).
-  for (Call& call : result.prog.calls) {
-    for (Arg& arg : call.args) {
-      if (arg.kind != Arg::Kind::kBuffer || arg.bytes.empty()) continue;
-      const size_t chunk = 8;
-      for (size_t offset = 0; offset < arg.bytes.size(); offset += chunk) {
-        std::vector<uint8_t> saved(
-            arg.bytes.begin() + static_cast<long>(offset),
-            arg.bytes.begin() +
-                static_cast<long>(std::min(offset + chunk, arg.bytes.size())));
-        bool all_zero = true;
-        for (uint8_t b : saved) all_zero = all_zero && b == 0;
-        if (all_zero) continue;
-        for (size_t i = 0; i < saved.size(); ++i) arg.bytes[offset + i] = 0;
-        if (!holds(result.prog)) {
-          for (size_t i = 0; i < saved.size(); ++i) {
-            arg.bytes[offset + i] = saved[i];
-          }
-        }
+  constexpr size_t kChunk = 8;
+  for (const Arg& arg : result.prog.args) {
+    if (arg.kind != Arg::Kind::kBuffer) continue;
+    const util::Span<uint8_t> bytes = result.prog.BytesOf(arg);
+    for (size_t offset = 0; offset < bytes.size(); offset += kChunk) {
+      uint8_t saved[kChunk];
+      const size_t n = std::min(kChunk, bytes.size() - offset);
+      std::copy(bytes.begin() + offset, bytes.begin() + offset + n, saved);
+      if (std::all_of(saved, saved + n, [](uint8_t b) { return b == 0; })) {
+        continue;
+      }
+      std::fill(bytes.begin() + offset, bytes.begin() + offset + n, 0);
+      if (!holds(result.prog)) {
+        std::copy(saved, saved + n, bytes.begin() + offset);
       }
     }
   }

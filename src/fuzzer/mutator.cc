@@ -10,9 +10,9 @@ Mutator::Mutator(const SpecLibrary* lib, Generator* generator, util::Rng* rng)
 void
 Mutator::Relink(Prog* prog)
 {
-  for (Call& call : prog->calls) {
-    if (call.syscall_index >= lib_->syscalls().size()) continue;
-    generator_->LinkLens(lib_->syscalls()[call.syscall_index], &call);
+  for (size_t c = 0; c < prog->calls.size(); ++c) {
+    if (prog->calls[c].syscall_index >= lib_->syscalls().size()) continue;
+    generator_->LinkLens(prog, c);
   }
 }
 
@@ -21,12 +21,12 @@ Mutator::MutateScalar(Prog* prog)
 {
   if (prog->empty()) return;
   size_t ci = rng_->Below(prog->calls.size());
-  Call& call = prog->calls[ci];
-  if (call.args.empty()) return;
-  size_t ai = rng_->Below(call.args.size());
-  Arg& arg = call.args[ai];
+  const util::Span<Arg> args = prog->ArgsOf(ci);
+  if (args.empty()) return;
+  size_t ai = rng_->Below(args.size());
+  Arg& arg = args[ai];
   if (arg.kind != Arg::Kind::kScalar) return;
-  const auto& def = lib_->syscalls()[call.syscall_index];
+  const auto& def = lib_->syscalls()[prog->calls[ci].syscall_index];
   if (ai < def.params.size()) {
     const syzlang::Type& type = def.params[ai].type;
     if (type.kind == TypeKind::kLen || type.kind == TypeKind::kBytesize) {
@@ -46,21 +46,27 @@ Mutator::MutateBuffer(Prog* prog)
 {
   if (prog->empty()) return;
   size_t ci = rng_->Below(prog->calls.size());
-  Call& call = prog->calls[ci];
-  for (size_t ai = 0; ai < call.args.size(); ++ai) {
-    Arg& arg = call.args[ai];
-    if (arg.kind != Arg::Kind::kBuffer) continue;
+  const Call& call = prog->calls[ci];
+  for (size_t ai = 0; ai < call.num_args; ++ai) {
+    if (prog->args[call.first_arg + ai].kind != Arg::Kind::kBuffer) continue;
     const auto& def = lib_->syscalls()[call.syscall_index];
     if (rng_->Chance(0.5) && ai < def.params.size()) {
-      // Regenerate from the type (fresh semantic values).
-      Arg fresh = generator_->BuildArg(def.params[ai].type);
-      if (fresh.kind == Arg::Kind::kBuffer) arg.bytes = fresh.bytes;
-    } else if (!arg.bytes.empty()) {
+      // Regenerate from the type (fresh semantic values). The new
+      // payload is appended to the arena; the old one is left dead.
+      Arg fresh = generator_->BuildArg(def.params[ai].type, prog);
+      Arg& arg = prog->args[call.first_arg + ai];
+      if (fresh.kind == Arg::Kind::kBuffer) {
+        arg.bytes_off = fresh.bytes_off;
+        arg.bytes_len = fresh.bytes_len;
+      }
+    } else if (const util::Span<uint8_t> bytes =
+                   prog->BytesOf(prog->args[call.first_arg + ai]);
+               !bytes.empty()) {
       // Corrupt random bytes.
       int flips = 1 + static_cast<int>(rng_->Below(4));
       for (int i = 0; i < flips; ++i) {
-        size_t pos = rng_->Below(arg.bytes.size());
-        arg.bytes[pos] = static_cast<uint8_t>(rng_->Next());
+        size_t pos = rng_->Below(bytes.size());
+        bytes[pos] = static_cast<uint8_t>(rng_->Next());
       }
     }
     return;
@@ -79,24 +85,14 @@ void
 Mutator::RemoveCall(Prog* prog)
 {
   if (prog->calls.size() <= 1) return;
-  int removed = static_cast<int>(rng_->Below(prog->calls.size()));
-  prog->calls.erase(prog->calls.begin() + removed);
-  for (Call& call : prog->calls) {
-    for (Arg& arg : call.args) {
-      if (arg.kind != Arg::Kind::kResourceRef) continue;
-      if (arg.ref_call == removed) arg.ref_call = -1;
-      if (arg.ref_call > removed) --arg.ref_call;
-    }
-  }
+  prog->RemoveCall(rng_->Below(prog->calls.size()));
 }
 
 void
 Mutator::DuplicateCall(Prog* prog)
 {
   if (prog->empty() || prog->calls.size() > 16) return;
-  size_t ci = rng_->Below(prog->calls.size());
-  Call copy = prog->calls[ci];
-  prog->calls.push_back(std::move(copy));
+  prog->DuplicateCall(rng_->Below(prog->calls.size()));
 }
 
 void
@@ -114,6 +110,9 @@ Mutator::Mutate(Prog* prog)
     }
   }
   Relink(prog);
+  // Edits leave replaced payloads dead; keep the arena within twice the
+  // live bytes.
+  if (prog->bytes.size() > 2 * prog->LiveBytes()) prog->CompactBytes();
 }
 
 }  // namespace kernelgpt::fuzzer

@@ -457,7 +457,7 @@ Session::MakeManifest() const
   manifest.rounds_completed = rounds_completed_;
   manifest.stale_rounds = stale_rounds_;
   for (const Entry& e : suites_) {
-    manifest.suites.emplace_back(SuiteFingerprint(*e.lib), e.state.name);
+    manifest.suites.emplace_back(e.Fingerprint(), e.state.name);
   }
   return manifest;
 }
@@ -582,7 +582,7 @@ Session::SaveFull(const std::string& dir)
     const Entry& e = suites_[i];
     SuiteSnapshot snapshot;
     snapshot.name = e.state.name;
-    snapshot.fingerprint = SuiteFingerprint(*e.lib);
+    snapshot.fingerprint = e.Fingerprint();
     snapshot.programs_executed = e.state.programs_executed;
     snapshot.wall_seconds = e.state.wall_seconds;
     snapshot.coverage = e.state.coverage.SortedBlocks();
@@ -675,7 +675,7 @@ Session::Resume(const std::string& dir)
           i, manifest.suites[i].second.c_str(),
           suites_[i].state.name.c_str()));
     }
-    const uint64_t fingerprint = SuiteFingerprint(*suites_[i].lib);
+    const uint64_t fingerprint = suites_[i].Fingerprint();
     if (manifest.suites[i].first != fingerprint) {
       return util::Status::Error(util::Format(
           "session: suite '%s' specs drifted since the snapshot "

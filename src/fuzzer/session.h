@@ -34,6 +34,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -306,6 +307,15 @@ class Session {
     /// bound, so a bound directory only ever advances through the
     /// crash-safe incremental path.
     std::vector<SuiteDelta> pending;
+
+    /// SuiteFingerprint(*lib), computed on first use and kept: it prints
+    /// every declaration of the suite (milliseconds on a large one), and
+    /// every Save and Resume needs it.
+    uint64_t Fingerprint() const {
+      if (!fingerprint) fingerprint = SuiteFingerprint(*lib);
+      return *fingerprint;
+    }
+    mutable std::optional<uint64_t> fingerprint;
   };
 
   util::Status Register(const std::string& name,

@@ -141,29 +141,35 @@ ExpectVersionHeader(LineCursor* cur, std::string_view kind)
 // Every Arg field is serialized regardless of kind so that the rendering
 // is a lossless fixpoint for any program the mutator can produce.
 
+std::string
+CallName(const Call& call, const SpecLibrary& lib)
+{
+  return call.syscall_index < lib.syscalls().size()
+             ? lib.syscalls()[call.syscall_index].FullName()
+             : util::Format("#%zu", call.syscall_index);
+}
+
 void
 AppendProg(const Prog& prog, const SpecLibrary& lib, std::string* out)
 {
   *out += util::Format("prog %zu\n", prog.calls.size());
-  for (const Call& call : prog.calls) {
-    const std::string name =
-        call.syscall_index < lib.syscalls().size()
-            ? lib.syscalls()[call.syscall_index].FullName()
-            : util::Format("#%zu", call.syscall_index);
-    *out += util::Format("c %zu %s\n", call.args.size(), name.c_str());
-    for (const Arg& arg : call.args) {
+  for (size_t c = 0; c < prog.calls.size(); ++c) {
+    *out += util::Format("c %u %s\n", prog.calls[c].num_args,
+                         CallName(prog.calls[c], lib).c_str());
+    for (const Arg& arg : prog.ArgsOf(c)) {
       *out += util::Format(
           "a %d %llx %d %d %d ", static_cast<int>(arg.kind),
           static_cast<unsigned long long>(arg.scalar),
           static_cast<int>(arg.dir), arg.ref_call, arg.len_of_param);
-      if (arg.bytes.empty()) {
+      const util::Span<const uint8_t> bytes = prog.BytesOf(arg);
+      if (bytes.empty()) {
         *out += "-";
       } else {
         // Payloads dominate snapshot volume; append nibbles directly
         // instead of paying a printf format-parse per byte.
         static constexpr char kHex[] = "0123456789abcdef";
-        out->reserve(out->size() + arg.bytes.size() * 2 + 1);
-        for (uint8_t b : arg.bytes) {
+        out->reserve(out->size() + bytes.size() * 2 + 1);
+        for (uint8_t b : bytes) {
           *out += kHex[b >> 4];
           *out += kHex[b & 0xf];
         }
@@ -180,7 +186,7 @@ ParseOneProg(LineCursor* cur,
 {
   uint64_t ncalls = 0;
   if (!ExpectCount(cur, "prog", &ncalls)) return false;
-  out->calls.clear();
+  out->Clear();
   for (uint64_t i = 0; i < ncalls; ++i) {
     std::string_view rest;
     if (!ExpectKeyword(cur, "c", &rest)) return false;
@@ -201,8 +207,7 @@ ParseOneProg(LineCursor* cur,
           cur->Where().c_str(), name.c_str());
       return false;
     }
-    Call call;
-    call.syscall_index = it->second;
+    out->AddCall(it->second);
     for (uint64_t a = 0; a < nargs; ++a) {
       std::string_view arg_rest;
       if (!ExpectKeyword(cur, "a", &arg_rest)) return false;
@@ -225,13 +230,14 @@ ParseOneProg(LineCursor* cur,
       arg.dir = static_cast<syzlang::Dir>(dir);
       arg.ref_call = static_cast<int>(ref);
       arg.len_of_param = static_cast<int>(len);
+      arg.bytes_off = static_cast<uint32_t>(out->bytes.size());
       if (tok[5] != "-") {
         if (tok[5].size() % 2 != 0) {
           cur->err = util::Format("%s: odd-length byte payload",
                                   cur->Where().c_str());
           return false;
         }
-        arg.bytes.reserve(tok[5].size() / 2);
+        out->bytes.reserve(out->bytes.size() + tok[5].size() / 2);
         for (size_t b = 0; b < tok[5].size(); b += 2) {
           const int hi = HexNibble(tok[5][b]);
           const int lo = HexNibble(tok[5][b + 1]);
@@ -240,12 +246,13 @@ ParseOneProg(LineCursor* cur,
                                     cur->Where().c_str());
             return false;
           }
-          arg.bytes.push_back(static_cast<uint8_t>(hi << 4 | lo));
+          out->bytes.push_back(static_cast<uint8_t>(hi << 4 | lo));
         }
       }
-      call.args.push_back(std::move(arg));
+      arg.bytes_len = static_cast<uint32_t>(out->bytes.size() - arg.bytes_off);
+      out->args.push_back(arg);
+      ++out->calls.back().num_args;
     }
-    out->calls.push_back(std::move(call));
   }
   return true;
 }
@@ -902,31 +909,23 @@ class NameTable {
   std::unordered_map<std::string, uint32_t> index_;
 };
 
-std::string
-CallName(const Call& call, const SpecLibrary& lib)
-{
-  return call.syscall_index < lib.syscalls().size()
-             ? lib.syscalls()[call.syscall_index].FullName()
-             : util::Format("#%zu", call.syscall_index);
-}
-
 void
 PutProg(const Prog& prog, const SpecLibrary& lib, NameTable* names,
         std::string* out)
 {
   PutVarint(prog.calls.size(), out);
-  for (const Call& call : prog.calls) {
-    PutVarint(names->Intern(CallName(call, lib)), out);
-    PutVarint(call.args.size(), out);
-    for (const Arg& arg : call.args) {
+  for (size_t c = 0; c < prog.calls.size(); ++c) {
+    PutVarint(names->Intern(CallName(prog.calls[c], lib)), out);
+    PutVarint(prog.calls[c].num_args, out);
+    for (const Arg& arg : prog.ArgsOf(c)) {
       PutVarint(static_cast<uint64_t>(static_cast<int>(arg.kind)), out);
       PutVarint(arg.scalar, out);
       PutVarint(static_cast<uint64_t>(static_cast<int>(arg.dir)), out);
       PutVarint(ZigZag(arg.ref_call), out);
       PutVarint(ZigZag(arg.len_of_param), out);
-      PutVarint(arg.bytes.size(), out);
-      out->append(reinterpret_cast<const char*>(arg.bytes.data()),
-                  arg.bytes.size());
+      PutVarint(arg.bytes_len, out);
+      out->append(reinterpret_cast<const char*>(prog.BytesOf(arg).data()),
+                  arg.bytes_len);
     }
   }
 }
@@ -940,8 +939,7 @@ ReadProg(ByteReader* r, const std::vector<size_t>& name_to_call,
     *err = "bad call count";
     return false;
   }
-  out->calls.clear();
-  out->calls.reserve(ncalls);
+  out->Clear();
   for (size_t c = 0; c < ncalls; ++c) {
     uint64_t name_idx = 0;
     size_t nargs = 0;
@@ -950,9 +948,7 @@ ReadProg(ByteReader* r, const std::vector<size_t>& name_to_call,
       *err = "bad call header";
       return false;
     }
-    Call call;
-    call.syscall_index = name_to_call[name_idx];
-    call.args.reserve(nargs);
+    out->AddCall(name_to_call[name_idx]);
     for (size_t a = 0; a < nargs; ++a) {
       uint64_t kind = 0, dir = 0;
       int64_t ref = 0, len = 0;
@@ -968,11 +964,9 @@ ReadProg(ByteReader* r, const std::vector<size_t>& name_to_call,
       arg.dir = static_cast<syzlang::Dir>(dir);
       arg.ref_call = static_cast<int>(ref);
       arg.len_of_param = static_cast<int>(len);
-      arg.bytes.assign(r->p, r->p + nbytes);
+      out->AddArg(arg, {r->p, nbytes});
       r->p += nbytes;
-      call.args.push_back(std::move(arg));
     }
-    out->calls.push_back(std::move(call));
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <array>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
@@ -69,21 +70,32 @@ SyncParentDir(const std::string& path)
   }
 }
 
-const uint32_t* Crc32Table()
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xedb88320:
+/// tables[0] is the classic bytewise table, and tables[k][b] is the CRC
+/// of byte b followed by k zero bytes, so eight table lookups advance
+/// the CRC by eight input bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+const Crc32Tables&
+Crc32Table()
 {
-  static uint32_t table[256];
-  static bool ready = [] {
+  static const Crc32Tables tables = [] {
+    Crc32Tables t{};
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      table[i] = c;
+      t[0][i] = c;
     }
-    return true;
+    for (size_t k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
+      }
+    }
+    return t;
   }();
-  (void)ready;
-  return table;
+  return tables;
 }
 
 }  // namespace
@@ -103,11 +115,22 @@ ErrnoStatus(const char* verb, const std::string& path, int err)
 uint32_t
 Crc32(const void* data, size_t len)
 {
-  const uint32_t* table = Crc32Table();
+  const Crc32Tables& t = Crc32Table();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   uint32_t crc = 0xffffffffu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table[(crc ^ p[i]) & 0xff] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    // Little-endian loads assembled bytewise: no alignment or host
+    // byte-order assumption.
+    const uint32_t lo = crc ^ (uint32_t{p[0]} | uint32_t{p[1]} << 8 |
+                               uint32_t{p[2]} << 16 | uint32_t{p[3]} << 24);
+    const uint32_t hi = uint32_t{p[4]} | uint32_t{p[5]} << 8 |
+                        uint32_t{p[6]} << 16 | uint32_t{p[7]} << 24;
+    crc = t[7][lo & 0xff] ^ t[6][(lo >> 8) & 0xff] ^
+          t[5][(lo >> 16) & 0xff] ^ t[4][lo >> 24] ^ t[3][hi & 0xff] ^
+          t[2][(hi >> 8) & 0xff] ^ t[1][(hi >> 16) & 0xff] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = t[0][(crc ^ *p) & 0xff] ^ (crc >> 8);
   }
   return crc ^ 0xffffffffu;
 }

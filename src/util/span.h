@@ -26,6 +26,12 @@ class Span {
   Span(const std::vector<std::remove_const_t<T>>& v)
       : data_(v.data()), size_(v.size()) {}
 
+  /// Implicit Span<U> -> Span<const U>.
+  template <typename U,
+            typename = std::enable_if_t<std::is_same_v<const U, T> &&
+                                        !std::is_same_v<U, T>>>
+  constexpr Span(Span<U> other) : data_(other.data()), size_(other.size()) {}
+
   constexpr T* data() const { return data_; }
   constexpr size_t size() const { return size_; }
   constexpr bool empty() const { return size_ == 0; }

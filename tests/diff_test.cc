@@ -241,42 +241,20 @@ TEST_F(DiffTest, NetPolicyKnobsDivergeStrictVsPermissive)
   ASSERT_LT(bind_idx, lib.syscalls().size());
   ASSERT_LT(listen_idx, lib.syscalls().size());
 
-  auto scalar = [](uint64_t v) {
-    Arg a;
-    a.scalar = v;
-    return a;
+  const std::vector<uint8_t> addr3 = {2, 0, 3, 0, 0, 0, 0, 0};
+  const std::vector<uint8_t> addr4 = {2, 0, 4, 0, 0, 0, 0, 0};
+  auto bound_socket = [&]() {
+    ProgBuilder b;
+    b.Call(socket_idx).Scalar(2).Scalar(1).Scalar(6);
+    b.Call(bind_idx).Ref(0).Buffer(addr3).Len(8, 1);
+    return b;
   };
-  auto ref = [](int call) {
-    Arg a;
-    a.kind = Arg::Kind::kResourceRef;
-    a.ref_call = call;
-    return a;
-  };
-  auto addr = [](uint16_t port) {
-    Arg a;
-    a.kind = Arg::Kind::kBuffer;
-    a.bytes = {2, 0, static_cast<uint8_t>(port), 0, 0, 0, 0, 0};
-    return a;
-  };
-  auto len8 = [&scalar]() {
-    Arg a = scalar(8);
-    a.len_of_param = 1;
-    return a;
-  };
-
-  Prog relisten;
-  relisten.calls = {
-      Call{socket_idx, {scalar(2), scalar(1), scalar(6)}},
-      Call{bind_idx, {ref(0), addr(3), len8()}},
-      Call{listen_idx, {ref(0), scalar(0)}},
-      Call{listen_idx, {ref(0), scalar(0)}},
-  };
-  Prog rebind;
-  rebind.calls = {
-      Call{socket_idx, {scalar(2), scalar(1), scalar(6)}},
-      Call{bind_idx, {ref(0), addr(3), len8()}},
-      Call{bind_idx, {ref(0), addr(4), len8()}},
-  };
+  Prog relisten = bound_socket()
+                      .Call(listen_idx).Ref(0).Scalar(0)
+                      .Call(listen_idx).Ref(0).Scalar(0)
+                      .Build();
+  Prog rebind =
+      bound_socket().Call(bind_idx).Ref(0).Buffer(addr4).Len(8, 1).Build();
   std::vector<Prog> corpus = {relisten, rebind};
 
   DiffOptions options;

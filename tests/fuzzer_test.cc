@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "drivers/corpus.h"
 #include "drivers/model_runtime.h"
 #include "drivers/model_spec.h"
 #include "fuzzer/campaign.h"
 #include "fuzzer/minimizer.h"
+#include "fuzzer/snapshot.h"
 #include "syzlang/parser.h"
+#include "util/strings.h"
 #include "vkernel/kernel.h"
 
 namespace kernelgpt::fuzzer {
@@ -80,8 +84,7 @@ TEST_F(FuzzerTest, GeneratorSatisfiesResourceDependencies)
     Prog prog = generator.Generate(5);
     for (size_t c = 0; c < prog.calls.size(); ++c) {
       const auto& def = lib.syscalls()[prog.calls[c].syscall_index];
-      for (size_t a = 0; a < prog.calls[c].args.size(); ++a) {
-        const Arg& arg = prog.calls[c].args[a];
+      for (const Arg& arg : prog.ArgsOf(c)) {
         if (arg.kind != Arg::Kind::kResourceRef) continue;
         if (arg.ref_call < 0) continue;
         // References must point backwards to a producer of the resource.
@@ -112,9 +115,9 @@ TEST_F(FuzzerTest, LenFieldsLinkedToBufferSizes)
     Prog prog;
     // write$t is index 0.
     generator.AppendCall(&prog, 0);
-    const Call& call = prog.calls.back();
-    ASSERT_EQ(call.args.size(), 3u);
-    EXPECT_EQ(call.args[2].scalar, call.args[1].bytes.size());
+    const util::Span<const Arg> args = prog.ArgsOf(prog.size() - 1);
+    ASSERT_EQ(args.size(), 3u);
+    EXPECT_EQ(args[2].scalar, prog.BytesOf(args[1]).size());
   }
 }
 
@@ -155,8 +158,9 @@ TEST_F(FuzzerTest, PayloadForStringLiteral)
   SpecLibrary lib = DmLibrary();
   util::Rng rng(5);
   Generator generator(&lib, &rng);
-  auto bytes =
-      generator.BuildPayload(syzlang::Type::String("/dev/mapper/control"));
+  std::vector<uint8_t> bytes;
+  generator.BuildPayload(syzlang::Type::String("/dev/mapper/control"),
+                         &bytes);
   ASSERT_GT(bytes.size(), 5u);
   EXPECT_EQ(bytes.back(), 0);  // NUL-terminated.
   EXPECT_EQ(bytes[0], '/');
@@ -171,14 +175,141 @@ TEST_F(FuzzerTest, MutatorPreservesResourceInvariant)
   Prog prog = generator.Generate(5);
   for (int i = 0; i < 300; ++i) {
     mutator.Mutate(&prog);
-    for (size_t c = 0; c < prog.calls.size(); ++c) {
-      for (const Arg& arg : prog.calls[c].args) {
-        if (arg.kind == Arg::Kind::kResourceRef && arg.ref_call >= 0) {
-          EXPECT_LT(static_cast<size_t>(arg.ref_call), prog.calls.size());
-        }
+    for (const Arg& arg : prog.args) {
+      if (arg.kind == Arg::Kind::kResourceRef && arg.ref_call >= 0) {
+        EXPECT_LT(static_cast<size_t>(arg.ref_call), prog.calls.size());
       }
     }
   }
+}
+
+// -- Flat program layout -----------------------------------------------------
+
+/// Every field of every arg, payload included; arena offsets excluded.
+std::vector<std::string>
+ArgFields(const Prog& prog)
+{
+  std::vector<std::string> out;
+  for (size_t c = 0; c < prog.size(); ++c) {
+    for (const Arg& arg : prog.ArgsOf(c)) {
+      std::string field = util::Format(
+          "%zu:%zu %d %d %d %d %llx", c, prog.calls[c].syscall_index,
+          static_cast<int>(arg.kind), static_cast<int>(arg.dir),
+          arg.ref_call, arg.len_of_param,
+          static_cast<unsigned long long>(arg.scalar));
+      for (uint8_t b : prog.BytesOf(arg)) field += util::Format(" %02x", b);
+      out.push_back(field);
+    }
+  }
+  return out;
+}
+
+TEST_F(FuzzerTest, ArenaStaysWithinTwiceItsLiveBytesUnderChainedMutation)
+{
+  SpecLibrary lib = KvmLibrary();
+  util::Rng rng(23);
+  Generator generator(&lib, &rng);
+  Mutator mutator(&lib, &generator, &rng);
+  Prog prog = generator.Generate(6);
+  size_t peak_dead = 0;
+  for (int i = 0; i < 10000; ++i) {
+    mutator.Mutate(&prog);
+    const size_t live = prog.LiveBytes();
+    ASSERT_LE(prog.bytes.size(), 2 * live) << "after mutation " << i;
+    if (prog.bytes.size() > live) {
+      peak_dead = std::max(peak_dead, prog.bytes.size() - live);
+    }
+  }
+  // The bound is met by compaction, not by edits never leaving dead bytes.
+  EXPECT_GT(peak_dead, 0u);
+}
+
+TEST_F(FuzzerTest, RemoveCallDropsRefsToItAndShiftsLaterRefs)
+{
+  Prog prog = ProgBuilder()
+                  .Call(0).Scalar(1)
+                  .Call(1).Ref(0).Buffer({1, 2, 3})
+                  .Call(0).Scalar(2)
+                  .Call(2).Ref(2).Ref(0).Ref(1).Buffer({4, 5})
+                  .Call(3).Ref(3).Ref(-1)
+                  .Build();
+  prog.RemoveCall(1);
+  const Prog want = ProgBuilder()
+                        .Call(0).Scalar(1)
+                        .Call(0).Scalar(2)
+                        .Call(2).Ref(1).Ref(0).Ref(-1).Buffer({4, 5})
+                        .Call(3).Ref(2).Ref(-1)
+                        .Build();
+  EXPECT_EQ(ArgFields(prog), ArgFields(want));
+  EXPECT_EQ(HashProg(prog), HashProg(want));
+  ASSERT_EQ(prog.size(), 4u);
+  for (size_t c = 0, next = 0; c < prog.size(); ++c) {
+    EXPECT_EQ(prog.calls[c].first_arg, next);
+    next += prog.calls[c].num_args;
+  }
+}
+
+TEST_F(FuzzerTest, DuplicatedCallOwnsItsBytes)
+{
+  Prog prog = ProgBuilder()
+                  .Call(0).Scalar(7)
+                  .Call(1).Ref(0).Buffer({1, 2, 3, 4}).Len(4, 1)
+                  .Build();
+  prog.DuplicateCall(1);
+  ASSERT_EQ(prog.size(), 3u);
+  const util::Span<Arg> original = prog.ArgsOf(1);
+  const util::Span<Arg> copy = prog.ArgsOf(2);
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy[0].ref_call, 0);
+  EXPECT_EQ(copy[2].len_of_param, 1);
+  EXPECT_NE(copy[1].bytes_off, original[1].bytes_off);
+  prog.BytesOf(copy[1])[0] = 0xee;
+  prog.BytesOf(original[1])[3] = 0xdd;
+  const util::Span<const uint8_t> a = prog.BytesOf(original[1]);
+  const util::Span<const uint8_t> b = prog.BytesOf(copy[1]);
+  EXPECT_EQ(std::vector<uint8_t>(a.begin(), a.end()),
+            (std::vector<uint8_t>{1, 2, 3, 0xdd}));
+  EXPECT_EQ(std::vector<uint8_t>(b.begin(), b.end()),
+            (std::vector<uint8_t>{0xee, 2, 3, 4}));
+}
+
+TEST_F(FuzzerTest, BuiltProgramRoundTripsThroughBothCodecs)
+{
+  SpecLibrary lib = DmLibrary();
+  Prog prog = ProgBuilder()
+                  .Call(0).Buffer({'/', 'd', 0}).Scalar(2)
+                  .Call(1).Ref(0).Scalar(0xc138fd00).Buffer({})
+                  .Call(2).Ref(0).Buffer(std::vector<uint8_t>(9, 0xab))
+                  .Len(9, 1)
+                  .Call(3).Ref(-1).Buffer({0, 1}, syzlang::Dir::kOut)
+                  .Scalar(~0ULL)
+                  .Build();
+  prog.args.back().len_of_param = kBrokenLenLink;
+  // Dead bytes in the arena are not part of the program.
+  prog.bytes.insert(prog.bytes.begin(), {9, 9, 9});
+  for (Arg& arg : prog.args) arg.bytes_off += 3;
+
+  std::vector<Prog> text_out;
+  const std::string text = SerializeProgs({prog}, lib);
+  ASSERT_TRUE(ParseProgs(text, lib, &text_out).ok());
+  ASSERT_EQ(text_out.size(), 1u);
+  EXPECT_EQ(ArgFields(text_out[0]), ArgFields(prog));
+  EXPECT_EQ(HashProg(text_out[0]), HashProg(prog));
+  EXPECT_EQ(SerializeProgs(text_out, lib), text);
+
+  SuiteSnapshot suite;
+  suite.name = "built";
+  suite.corpus = {prog};
+  suite.crash_reproducers["title"] = prog;
+  SuiteSnapshot binary_out;
+  const std::string binary = SerializeSuiteBinary(suite, lib);
+  ASSERT_TRUE(ParseSuiteBinary(binary, lib, &binary_out).ok());
+  ASSERT_EQ(binary_out.corpus.size(), 1u);
+  EXPECT_EQ(ArgFields(binary_out.corpus[0]), ArgFields(prog));
+  EXPECT_EQ(ArgFields(binary_out.crash_reproducers["title"]),
+            ArgFields(prog));
+  EXPECT_EQ(HashProg(binary_out.corpus[0]), HashProg(prog));
+  EXPECT_EQ(SerializeSuiteBinary(binary_out, lib), binary);
 }
 
 TEST_F(FuzzerTest, ExecutorRunsDmProgram)

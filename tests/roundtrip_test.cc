@@ -98,14 +98,21 @@ class MutatorInvariantTest : public ::testing::Test {
   /// Structural validity the executor relies on.
   static void ExpectProgValid(const fuzzer::Prog& prog,
                               const fuzzer::SpecLibrary& lib) {
+    size_t next_arg = 0;
     for (size_t ci = 0; ci < prog.calls.size(); ++ci) {
       const fuzzer::Call& call = prog.calls[ci];
       ASSERT_LT(call.syscall_index, lib.syscalls().size());
       const syzlang::SyscallDef& def = lib.syscalls()[call.syscall_index];
+      // Calls own consecutive runs of the flat arg array, in order.
+      ASSERT_EQ(call.first_arg, next_arg) << def.FullName();
+      next_arg += call.num_args;
+      ASSERT_LE(next_arg, prog.args.size());
+      const util::Span<const fuzzer::Arg> args = prog.ArgsOf(ci);
       // One argument per declared parameter, always.
-      ASSERT_EQ(call.args.size(), def.params.size()) << def.FullName();
-      for (size_t ai = 0; ai < call.args.size(); ++ai) {
-        const fuzzer::Arg& arg = call.args[ai];
+      ASSERT_EQ(args.size(), def.params.size()) << def.FullName();
+      for (size_t ai = 0; ai < args.size(); ++ai) {
+        const fuzzer::Arg& arg = args[ai];
+        ASSERT_LE(size_t{arg.bytes_off} + arg.bytes_len, prog.bytes.size());
         if (arg.kind == fuzzer::Arg::Kind::kResourceRef) {
           // Resource refs only point backwards (results exist at exec time).
           EXPECT_GE(arg.ref_call, -1);
@@ -113,16 +120,17 @@ class MutatorInvariantTest : public ::testing::Test {
         }
         if (arg.len_of_param >= 0) {
           // Live len links name a sibling and carry its current size.
-          ASSERT_LT(arg.len_of_param, static_cast<int>(call.args.size()));
+          ASSERT_LT(arg.len_of_param, static_cast<int>(args.size()));
           const fuzzer::Arg& target =
-              call.args[static_cast<size_t>(arg.len_of_param)];
-          EXPECT_EQ(arg.scalar, target.bytes.size()) << def.FullName();
+              args[static_cast<size_t>(arg.len_of_param)];
+          EXPECT_EQ(arg.scalar, target.bytes_len) << def.FullName();
         } else {
           EXPECT_TRUE(arg.len_of_param == -1 ||
                       arg.len_of_param == fuzzer::kBrokenLenLink);
         }
       }
     }
+    EXPECT_EQ(next_arg, prog.args.size());
   }
 };
 

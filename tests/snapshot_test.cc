@@ -27,6 +27,7 @@
 #include "fuzzer/session.h"
 #include "fuzzer/snapshot.h"
 #include "util/fileio.h"
+#include "util/rng.h"
 #include "util/strings.h"
 #include "vkernel/kernel.h"
 
@@ -134,6 +135,33 @@ TEST_F(SnapshotTest, Crc32MatchesTheStandardCheckValue)
   EXPECT_EQ(util::Crc32("123456789"), 0xcbf43926u);
   EXPECT_EQ(util::Crc32(""), 0u);
   EXPECT_NE(util::Crc32("torn"), util::Crc32("tore"));
+}
+
+TEST_F(SnapshotTest, Crc32MatchesABytewiseReferenceAtEveryLengthAndAlignment)
+{
+  // The plain one-byte-at-a-time CRC-32 (reflected 0xedb88320), against
+  // which the table-sliced implementation must agree for every length
+  // and start alignment, so both its 8-byte body and its tail are hit.
+  auto reference = [](const uint8_t* p, size_t len) {
+    uint32_t crc = 0xffffffffu;
+    for (size_t i = 0; i < len; ++i) {
+      crc ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        crc = (crc & 1) ? 0xedb88320u ^ (crc >> 1) : crc >> 1;
+      }
+    }
+    return crc ^ 0xffffffffu;
+  };
+  util::Rng rng(2024);
+  std::vector<uint8_t> data(1024 + 8);
+  for (uint8_t& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      ASSERT_EQ(util::Crc32(data.data() + align, len),
+                reference(data.data() + align, len))
+          << "len " << len << " align " << align;
+    }
+  }
 }
 
 TEST_F(SnapshotTest, AtomicWriteReplacesWithoutLeavingTmpFiles)

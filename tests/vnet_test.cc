@@ -99,31 +99,6 @@ class VnetTest : public ::testing::Test {
     return 0;
   }
 
-  static Arg Scalar(uint64_t v) {
-    Arg a;
-    a.scalar = v;
-    return a;
-  }
-  static Arg Ref(int call) {
-    Arg a;
-    a.kind = Arg::Kind::kResourceRef;
-    a.ref_call = call;
-    return a;
-  }
-  static Arg Buf(std::vector<uint8_t> bytes,
-                 syzlang::Dir dir = syzlang::Dir::kIn) {
-    Arg a;
-    a.kind = Arg::Kind::kBuffer;
-    a.bytes = std::move(bytes);
-    a.dir = dir;
-    return a;
-  }
-  static Arg Len(uint64_t v, int of_param) {
-    Arg a = Scalar(v);
-    a.len_of_param = of_param;
-    return a;
-  }
-
   /// Ground-truth seed programs exercising the stack's happy paths: a
   /// full TCP establish + accept, a UDP datagram exchange, and a
   /// backlog-1 listener driven past capacity. Campaigns replay these to
@@ -140,56 +115,51 @@ class VnetTest : public ::testing::Test {
     const size_t udp_sendto = FindCall(lib, "sendto$udp");
     const size_t udp_recvfrom = FindCall(lib, "recvfrom$udp");
 
-    auto sock_call = [](size_t idx, uint64_t type, uint64_t proto) {
-      return Call{idx, {Scalar(2), Scalar(type), Scalar(proto)}};
+    auto sock_call = [](ProgBuilder& b, size_t idx, uint64_t type,
+                        uint64_t proto) -> ProgBuilder& {
+      return b.Call(idx).Scalar(2).Scalar(type).Scalar(proto);
     };
-    auto addr_call = [](size_t idx, int fd, uint16_t port) {
-      return Call{idx, {Ref(fd), Buf(Addr(port)), Len(8, 1)}};
+    auto addr_call = [](ProgBuilder& b, size_t idx, int fd,
+                        uint16_t port) -> ProgBuilder& {
+      return b.Call(idx).Ref(fd).Buffer(Addr(port)).Len(8, 1);
     };
 
     std::vector<Prog> seeds;
     // Establish + accept: covers the whole legal transition walk once
     // EndProgram tears the pair down.
-    Prog establish;
-    establish.calls = {
-        sock_call(tcp_socket, 1, 6),
-        addr_call(tcp_bind, 0, 5),
-        Call{tcp_listen, {Ref(0), Scalar(0)}},
-        sock_call(tcp_socket, 1, 6),
-        addr_call(tcp_connect, 3, 5),
-        Call{tcp_accept, {Ref(0), Scalar(0), Scalar(0)}},
-    };
-    seeds.push_back(std::move(establish));
+    ProgBuilder establish;
+    sock_call(establish, tcp_socket, 1, 6);
+    addr_call(establish, tcp_bind, 0, 5);
+    establish.Call(tcp_listen).Ref(0).Scalar(0);
+    sock_call(establish, tcp_socket, 1, 6);
+    addr_call(establish, tcp_connect, 3, 5);
+    establish.Call(tcp_accept).Ref(0).Scalar(0).Scalar(0);
+    seeds.push_back(establish.Build());
 
     // UDP datagram flow.
-    Prog datagram;
-    datagram.calls = {
-        sock_call(udp_socket, 2, 17),
-        addr_call(udp_bind, 0, 4),
-        sock_call(udp_socket, 2, 17),
-        Call{udp_sendto,
-             {Ref(2), Buf({1, 2}), Len(2, 1), Scalar(0), Buf(Addr(4)),
-              Len(8, 4)}},
-        Call{udp_recvfrom,
-             {Ref(0), Buf(std::vector<uint8_t>(16), syzlang::Dir::kOut),
-              Len(16, 1)}},
-    };
-    seeds.push_back(std::move(datagram));
+    ProgBuilder datagram;
+    sock_call(datagram, udp_socket, 2, 17);
+    addr_call(datagram, udp_bind, 0, 4);
+    sock_call(datagram, udp_socket, 2, 17);
+    datagram.Call(udp_sendto)
+        .Ref(2).Buffer({1, 2}).Len(2, 1).Scalar(0).Buffer(Addr(4)).Len(8, 4);
+    datagram.Call(udp_recvfrom)
+        .Ref(0).Buffer(std::vector<uint8_t>(16), syzlang::Dir::kOut)
+        .Len(16, 1);
+    seeds.push_back(datagram.Build());
 
     // Backlog-1 listener driven past capacity.
-    Prog overflow;
-    overflow.calls = {
-        sock_call(tcp_socket, 1, 6),
-        Call{tcp_backlog,
-             {Ref(0), Scalar(6), Scalar(14), Buf(I32(1)), Len(4, 3)}},
-        addr_call(tcp_bind, 0, 7),
-        Call{tcp_listen, {Ref(0), Scalar(0)}},
-        sock_call(tcp_socket, 1, 6),
-        addr_call(tcp_connect, 4, 7),
-        sock_call(tcp_socket, 1, 6),
-        addr_call(tcp_connect, 6, 7),
-    };
-    seeds.push_back(std::move(overflow));
+    ProgBuilder overflow;
+    sock_call(overflow, tcp_socket, 1, 6);
+    overflow.Call(tcp_backlog)
+        .Ref(0).Scalar(6).Scalar(14).Buffer(I32(1)).Len(4, 3);
+    addr_call(overflow, tcp_bind, 0, 7);
+    overflow.Call(tcp_listen).Ref(0).Scalar(0);
+    sock_call(overflow, tcp_socket, 1, 6);
+    addr_call(overflow, tcp_connect, 4, 7);
+    sock_call(overflow, tcp_socket, 1, 6);
+    addr_call(overflow, tcp_connect, 6, 7);
+    seeds.push_back(overflow.Build());
     return seeds;
   }
 
